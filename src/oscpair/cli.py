@@ -24,7 +24,7 @@ from .moments import MomentState, Trajectory, cg_redfield_generator, local_gener
 from .params import SATURATING, ModelParams
 from .presets import PRESETS, preset
 from .runner import SchemeRunner, filter_value, parse_scheme, time_grid
-from .spectral import cp_bound_from_tensors, memory_time
+from .spectral import bose_factor, cp_bound_from_tensors, memory_time
 from . import verify as verify_mod
 
 _PARAM_KEYS = {
@@ -189,7 +189,7 @@ def _trajectory_columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
 
 
 def _run_oracle_spot_check(cfg: RunConfig) -> dict:
-    n_slow = 1.0 / np.expm1(cfg.params.beta * cfg.params.omega_minus)
+    n_slow = bose_factor(cfg.params.omega_minus, cfg.params.beta)
     if n_slow > 1.2:
         raise ValidationError(
             "oracle-verify needs small occupations (N(omega_minus) <= 1.2); "

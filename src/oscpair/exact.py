@@ -1,17 +1,20 @@
-"""Exact covariance dynamics of the full system + discretized-bath model.
+"""Exact dynamics of the full system + discretized-bath model.
 
-The quadratic Hamiltonian H = ½ rᵀℋr (+ const) on the 2M+4 canonical
-coordinates r = (x_A, p_A, x_B, p_B, x_1, p_1, …) is diagonalized once via
-the Hermitian matrix 𝓜 = iΩℋ; covariances then evolve by the closed-form
-conjugation Σ(t) = U(t) Σ(0) U(t)†, so every time point is independent (no
-stepping error) and a built model can serve any number of concurrent
-propagation calls.
+ℋ has equal x–x and p–p couplings, so the Hamiltonian is passive:
+H = Σ h_ij a_i†a_j (+ const) over the M+2 modes (A, B, c_1…c_M), with h a
+real symmetric arrowhead. :func:`exact_trajectory` works in that mode space:
+one real (M+2)² ``eigh``, then for each block of times one matrix product
+gives the rows of the propagator that the system moments and the four energy
+components need. Every time point is independent (no stepping error), and
+the propagator is written as U(t) = I + V diag(expm1(−iλt)) Vᵀ, so the
+t = 0 output is the initial state exactly.
 
-The propagator is written as U(t) = I + V diag(expm1(−iλt)) V† rather than
-V diag(e^{−iλt}) V†: the two are equal in exact arithmetic, but only the
-first gives U(0) = I exactly in floating point (V V† misses the identity by
-a few ulps, which the bath occupations 2N(ω_k)+1 amplify), so the exact
-route returns the initial state unchanged at t = 0.
+The phase-space route on the 2M+4 canonical coordinates r = (x_A, p_A,
+x_B, p_B, x_1, p_1, …) is kept as an independent reference for the tests:
+:func:`build_full_model` diagonalizes the Hermitian matrix 𝓜 = iΩℋ, and
+covariances evolve by Σ(t) = U(t) Σ(0) U(t)† with the same expm1 form of U
+(:func:`propagator`, :func:`propagate_exact`), read out by
+:func:`system_moments` and :func:`energy_components`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, PropagationError
-from .gaussian import VCAL
+from .gaussian import VCAL, from_ab_basis
 from .moments import MomentState, Trajectory
 from .params import ModelParams
 from .spectral import bath_modes, bose_factor
@@ -220,60 +223,94 @@ class ExactRun(NamedTuple):
     energies: np.ndarray  # shape (len(times), 4), EnergyComponents order
 
 
-def exact_trajectory(model: FullModel, times, sigma0: FullCovariance | None = None,
-                     *, with_energies: bool = True) -> ExactRun:
+#: time points per block of matrix products; temporaries stay O(_BLOCK·(M+2))
+_BLOCK = 256
+
+
+def _mode_hamiltonian(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-particle matrix h over the modes (A, B, c_1…c_M), plus (ω_k, γ_k).
+
+    H = Σ h_ij a_i†a_j (+ const): a real symmetric arrowhead with head A,
+    h_AA = h_BB = ω0, h_AB = g, h_Ak = γ_k and h_kk = ω_k.
+    """
+    omega_k, gamma_k = bath_modes(params)
+    h = np.zeros((params.M + 2, params.M + 2))
+    h[0, 0] = h[1, 1] = params.omega0
+    h[0, 1] = h[1, 0] = params.g
+    h[0, 2:] = h[2:, 0] = gamma_k
+    h[np.arange(2, params.M + 2), np.arange(2, params.M + 2)] = omega_k
+    return h, omega_k, gamma_k
+
+
+def exact_trajectory(params: ModelParams, times, *, with_energies: bool = True) -> ExactRun:
     """System moments (and energy split) of the exact model on a time grid.
 
-    Works in the eigenbasis with the propagator of :func:`propagator`,
-    U = I + V D V†, D = diag(expm1(−iλt)). With W = V†Σ(0)V,
-    Y₄ = V†Σ(0)[:, :4] and B = V₄D (the first four rows of V, scaled), the
-    system minor is
+    The model is diagonalized in mode space, h = VΛVᵀ, and the mode
+    operators evolve as a(t) = U(t)a with U = I + V diag(expm1(−iλt)) Vᵀ,
+    so U(0) = I exactly. A and B start in the vacuum and bath mode l with
+    occupation n_l = N(ω_l), hence ⟨a_i†a_j⟩(t) = Σ_l conj(U_il) U_jl n_l
+    over bath modes l only, where the rows of A and B equal those of U − I.
+    The rows of U − I for A and B and the γ-weighted bath row Σ_k γ_k U_k·
+    are one GEMM per block of times; from them
 
-        Σ_S(t) = Σ_S(0) + B Y₄ + (B Y₄)† + B W B†,
+        ⟨a†a⟩, ⟨b†b⟩, ⟨ab†⟩ → n±, ⟨γ₋γ₊†⟩ (:func:`from_ab_basis`),
+        E_s0 = ω0(⟨a†a⟩+⟨b†b⟩), E_sg = 2g Re⟨a†b⟩, E_1 = 2 Re⟨a†Σγ_k c_k⟩.
 
-    one 4×n by n×n product per time point; at t = 0 B vanishes and the
-    first row is the initial system state exactly. Each energy component
-    costs one phase-vector contraction on top of its value at t = 0, so
-    dense grids are cheap after the one-off diagonalization.
+    E_E = Σ_k ω_k(⟨c_k†c_k⟩(t) − n_k) is the eigenbasis quadratic form
+    2Re(a·d) + d†Cd in d = expm1(−iλt), with C = (VᵀΩ_EV)∘(VᵀNV) and
+    a = 1ᵀC; it is not inferred from energy conservation. At t = 0, d
+    vanishes and every output is exactly zero.
     """
     times = np.asarray(times, dtype=float)
-    if sigma0 is None:
-        sigma0 = initial_covariance(model.params)
-    v = model.eigenvectors
-    w = v.conj().T @ sigma0.sigma @ v
-    v4 = v[:4, :]
-    minor0 = sigma0.sigma[:4, :4]
-    y4 = v.conj().T @ sigma0.sigma[:, :4]
+    h, omega_k, gamma_k = _mode_hamiltonian(params)
+    try:
+        lam, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise PropagationError(
+            f"eigendecomposition failed (size {h.shape[0]}, cond(h) ~ "
+            f"{np.linalg.cond(h):.2e})") from exc
+    residual = np.abs(h @ v - v * lam).max()
+    if residual > 1e-12 * np.abs(h).max():
+        raise ConsistencyError(f"eigendecomposition residual {residual:.2e} of h")
 
+    occ = bose_factor(omega_k, params.beta)
+    v_bath = v[2:, :]
+    rows = [v[0], v[1]]
     if with_energies:
-        energies0 = energy_components(sigma0, model.params)
-        # with C_p = (V†ℋ_pV) ∘ Wᵀ (Hermitian) and a_p = 1ᵀC_p:
-        # tr(ℋ_p Σ(t)) − tr(ℋ_p Σ(0)) = 2Re(a_p·d) + d†C_p d
-        c_parts = [(v.conj().T @ h @ v) * w.T for h in _hamiltonian_parts(model.params)]
-        a_parts = [c_p.sum(axis=0) for c_p in c_parts]
+        rows.append(gamma_k @ v_bath)
+        c_form = ((v_bath.T * omega_k) @ v_bath) * ((v_bath.T * occ) @ v_bath)
+        a_form = c_form.sum(axis=0)
+    rows = np.array(rows)
+    n_rows = rows.shape[0]
 
     n_t = times.size
-    n_plus = np.empty(n_t)
-    n_minus = np.empty(n_t)
-    cross = np.empty(n_t, dtype=complex)
+    aa = np.empty(n_t)
+    bb = np.empty(n_t)
+    ab_dag = np.empty(n_t, dtype=complex)
     energies = np.empty((n_t, 4)) if with_energies else np.empty((n_t, 0))
-    for i, t in enumerate(times):
-        d = _phase_increments(model, t)
-        b = v4 * d
-        by = b @ y4
-        minor = minor0 + by + by.conj().T + (b @ w) @ b.conj().T
-        residue = np.abs(minor.imag).max()
-        if residue > 1e-8 * max(1.0, np.abs(minor.real).max()):
-            raise PropagationError(f"imaginary residue {residue:.2e} at t = {t}")
-        state = system_moments(0.5 * (minor.real + minor.real.T))
-        n_plus[i] = state.n_plus
-        n_minus[i] = state.n_minus
-        cross[i] = state.cross
+    for lo in range(0, n_t, _BLOCK):
+        sl = slice(lo, lo + _BLOCK)
+        theta = np.multiply.outer(times[sl], lam)
+        # real and imaginary parts of expm1(−iθ) = −2sin²(θ/2) − i sin θ
+        d = np.stack([-2.0 * np.sin(0.5 * theta) ** 2, -np.sin(theta)])
+        # rows of U − I on the bath columns, (row ∘ d) V_bathᵀ: [row, re/im, t, l]
+        u = ((rows[:, None, None, :] * d).reshape(-1, lam.size) @ v_bath.T
+             ).reshape(n_rows, 2, theta.shape[0], -1)
+        (a_re, a_im), (b_re, b_im) = u[0], u[1]
+        aa[sl] = (a_re**2 + a_im**2) @ occ
+        bb[sl] = (b_re**2 + b_im**2) @ occ
+        # ⟨ab†⟩ = conj⟨a†b⟩ with ⟨a†b⟩ = Σ_l conj(U_Al) U_Bl n_l
+        re_ab = (a_re * b_re + a_im * b_im) @ occ
+        ab_dag[sl] = re_ab - 1j * ((a_re * b_im - a_im * b_re) @ occ)
         if with_energies:
-            d_conj = d.conj()
-            for j, (e0, c_p, a_p) in enumerate(zip(energies0, c_parts, a_parts)):
-                energies[i, j] = e0 + 0.25 * np.real(2.0 * (a_p @ d) + d_conj @ (c_p @ d))
-    traj = Trajectory(times, n_plus, n_minus, cross, "exact")
+            g_re, g_im = u[2]
+            quad = np.einsum("sij,sij->i", (d.reshape(-1, lam.size) @ c_form).reshape(d.shape), d)
+            energies[sl, 0] = params.omega0 * (aa[sl] + bb[sl])
+            energies[sl, 1] = 2.0 * params.g * re_ab
+            energies[sl, 2] = 2.0 * ((a_re * (gamma_k + g_re) + a_im * g_im) @ occ)
+            energies[sl, 3] = 2.0 * (d[0] @ a_form) + quad
+    state = from_ab_basis(aa, bb, ab_dag)
+    traj = Trajectory(times, state.n_plus, state.n_minus, state.cross, "exact")
     return ExactRun(traj, energies)
 
 

@@ -197,9 +197,13 @@ def to_ab_basis(state: MomentState) -> ABMoments:
 
 
 def from_ab_basis(aa: float, bb: float, ab_dag: complex) -> MomentState:
-    """Inverse of :func:`to_ab_basis`; the two are exact inverses."""
+    """Inverse of :func:`to_ab_basis`; the two are exact inverses.
+
+    Also maps whole trajectories: with equal-shape arrays in, each field of
+    the returned state is an array.
+    """
     return MomentState(
-        n_plus=0.5 * (aa + bb) + complex(ab_dag).real,
-        n_minus=0.5 * (aa + bb) - complex(ab_dag).real,
-        cross=0.5 * (aa - bb) + 1j * complex(ab_dag).imag,
+        n_plus=0.5 * (aa + bb) + np.real(ab_dag),
+        n_minus=0.5 * (aa + bb) - np.real(ab_dag),
+        cross=0.5 * (aa - bb) + 1j * np.imag(ab_dag),
     )

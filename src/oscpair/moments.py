@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from .errors import DomainError, PropagationError, SteadyStateError
 from .params import ModelParams
-from .spectral import CoefficientSet, pv_integral
+from .spectral import CoefficientSet, bose_factor, pv_integral
 
 _P, _M = 0, 1
 
@@ -296,7 +296,7 @@ def asymptotic_gap_first_order(s: float, params: ModelParams) -> float:
         raise DomainError("asymptotic gap needs g > 0")
     terms = []
     for w in (params.omega_plus, params.omega_minus):
-        occ = 1.0 / np.expm1(params.beta * w)
+        occ = bose_factor(w, params.beta)
         terms.append(pv_integral("N", w, params) - occ * pv_integral("bare", w, params))
     return s / (params.omega_plus - params.omega_minus) * (terms[0] - terms[1])
 

@@ -11,6 +11,15 @@ from .errors import ValidationError
 SATURATING = "saturating"
 
 
+def bose_occupation(x: float) -> float:
+    """Bose occupation 1/(eˣ − 1) of a mode with x = βω > 0, for scalars.
+
+    Evaluated as e^{−x}/(−expm1(−x)), which cannot overflow: a very cold
+    mode gives 0.0 instead of an ``OverflowError``.
+    """
+    return math.exp(-x) / -math.expm1(-x)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All constants of the model, ħ = 1, frequencies/rates angular.
@@ -86,7 +95,7 @@ class ModelParams:
     @property
     def n_occupation_omega0(self) -> float:
         """N(ω0) = 1/(e^{βω0}−1); round-trips with the n_omega0 constructor."""
-        return 1.0 / math.expm1(self.beta * self.omega0)
+        return bose_occupation(self.beta * self.omega0)
 
     @property
     def recurrence_time(self) -> float:

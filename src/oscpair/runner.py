@@ -52,28 +52,22 @@ def filter_value(kind: str, s: float | None, params: ModelParams, coeffs) -> flo
 class SchemeRunner:
     """Computes and caches per-scheme trajectories for one parameter set.
 
-    The exact model is diagonalized at most once; master-equation schemes
-    are closed-form propagations and essentially free.
+    The exact model is solved once per time grid, moments and energies
+    together, by :func:`~oscpair.exact.exact_trajectory` in mode space;
+    master-equation schemes are closed-form propagations and essentially free.
     """
 
     def __init__(self, params: ModelParams, *, lamb_shift: bool = True):
         self.params = params
         self.lamb_shift = lamb_shift
         self.coeffs = dissipator_coefficients(params, lamb_shift=lamb_shift)
-        self._model = None
         self._exact_runs: dict[bytes, exact_mod.ExactRun] = {}
         self._cache: dict[tuple, Trajectory] = {}
-
-    @property
-    def model(self) -> exact_mod.FullModel:
-        if self._model is None:
-            self._model = exact_mod.build_full_model(self.params)
-        return self._model
 
     def exact_run(self, times) -> exact_mod.ExactRun:
         key = np.asarray(times, dtype=float).tobytes()
         if key not in self._exact_runs:
-            self._exact_runs[key] = exact_mod.exact_trajectory(self.model, times)
+            self._exact_runs[key] = exact_mod.exact_trajectory(self.params, times)
         return self._exact_runs[key]
 
     def trajectory(self, scheme: str, times) -> Trajectory:

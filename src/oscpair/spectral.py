@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, EstimationError
-from .params import SATURATING, ModelParams
+from .params import SATURATING, ModelParams, bose_occupation
 
 PV_KINDS = ("N", "1+N", "bare")
 
@@ -88,13 +88,20 @@ def correlation_function(kind: int, tau, params: ModelParams):
     return complex(out) if out.ndim == 0 else out
 
 
+#: grid points per envelope evaluation in memory_time; the half-maximum
+#: crossing of the presets lies within the first block
+_SCAN_BLOCK = 512
+
+
 def memory_time(params: ModelParams, *, tol: float = 1e-10) -> float:
     """Bath memory time τ_E: half width at half maximum of |c^(1)(τ)|.
 
     The first crossing of |c^(1)(0)|/2 is bracketed on a dense grid starting
-    at τ = 0 and refined by bisection. Raises ``EstimationError`` when no
-    crossing occurs before T_rec/2; warns when the width is so large relative
-    to the recurrence time that the estimate is unreliable.
+    at τ = 0 and refined by bisection. The grid is scanned in blocks of
+    ``_SCAN_BLOCK`` points, stopping at the first block that holds a
+    crossing. Raises ``EstimationError`` when no crossing occurs before
+    T_rec/2; warns when the width is so large relative to the recurrence
+    time that the estimate is unreliable.
     """
     t_rec = params.recurrence_time
     half = abs(correlation_function(1, 0.0, params)) / 2.0
@@ -104,13 +111,15 @@ def memory_time(params: ModelParams, *, tol: float = 1e-10) -> float:
 
     step = 1.0 / (20.0 * params.omega_c)
     grid = np.arange(0.0, t_rec / 2.0 + step, step)
-    values = envelope(grid)
-    below = np.nonzero(values <= half)[0]
-    if below.size == 0:
+    for start in range(0, grid.size, _SCAN_BLOCK):
+        below = np.nonzero(envelope(grid[start:start + _SCAN_BLOCK]) <= half)[0]
+        if below.size:
+            break
+    else:
         raise EstimationError(
             "no half-maximum crossing of |c^(1)| before T_rec/2; "
             "increase M or check the spectral density")
-    hi = below[0]
+    hi = start + below[0]
     lo = hi - 1
     a, b = grid[lo], grid[hi]
     while b - a > tol:
@@ -130,7 +139,7 @@ def memory_time(params: ModelParams, *, tol: float = 1e-10) -> float:
 
 def _occupation_derivatives(omega: float, beta: float) -> tuple[float, float, float]:
     # N, N' = -beta N(N+1), N'' = beta^2 N(N+1)(2N+1)
-    n = 1.0 / math.expm1(beta * omega)
+    n = bose_occupation(beta * omega)
     return n, -beta * n * (n + 1.0), beta**2 * n * (n + 1.0) * (2.0 * n + 1.0)
 
 
@@ -171,7 +180,7 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams,
         return n if kind == "N" else 1.0 + n
 
     def f(e):
-        n = 1.0 / math.expm1(beta * e) if kind != "bare" else 0.0
+        n = bose_occupation(beta * e) if kind != "bare" else 0.0
         return pref * e**alpha * weight(e, n)
 
     f_t = f(w_t)
@@ -199,7 +208,7 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams,
 
         def head_integrand(u):
             e = u ** (1.0 / alpha)
-            s = e / math.expm1(beta * e) if e > 0.0 else 1.0 / beta
+            s = e * bose_occupation(beta * e) if e > 0.0 else 1.0 / beta
             if kind == "1+N":
                 s = s + e
             return c_head * s / (e - w_t)

@@ -18,7 +18,7 @@ from .fock import (TruncatedState, fidelity_truncated, lindblad_propagate,
                    number_expectations, thermal_product_state)
 from .gaussian import eigenmode_covariance, gaussian_fidelity
 from .moments import MomentState
-from .params import ModelParams
+from .params import ModelParams, bose_occupation
 from .runner import SchemeRunner
 
 _SCHEME_CYCLE = ("local", "global", "cg_redfield")
@@ -58,7 +58,7 @@ def draw_case(rng: np.random.Generator) -> EquivalenceCase:
         s = float(rng.uniform(0.3, 1.0)) * cp_threshold(params).bound
 
     # cap the accumulated occupation so a modest cutoff certifies the run
-    n_slow = 1.0 / math.expm1(params.beta * params.omega_minus)
+    n_slow = bose_occupation(params.beta * params.omega_minus)
     kappa_slow = kappa0 * (params.omega_minus / params.omega0) ** alpha
     if n_slow <= _OCCUPANCY_BUDGET:
         t_max = 40.0

@@ -129,7 +129,7 @@ class TestSystemMoments:
         st = system_moments(np.eye(4))
         assert st.n_plus == 0 and st.n_minus == 0 and st.cross == 0
         # the exact trajectory starts from that vacuum state, without roundoff
-        traj = exact_trajectory(model, [0.0, 5.0], with_energies=False).trajectory
+        traj = exact_trajectory(model.params, [0.0, 5.0], with_energies=False).trajectory
         st0 = system_moments(initial_covariance(model.params))
         assert (traj.n_plus[0], traj.n_minus[0], traj.cross[0]) == (
             st0.n_plus, st0.n_minus, st0.cross)
@@ -168,26 +168,49 @@ class TestEnergies:
         assert np.abs(np.array(e)).max() < 1e-10
 
     def test_total_energy_conserved(self, model):
-        run = exact_trajectory(model, np.linspace(0.0, 300.0, 61))
+        run = exact_trajectory(model.params, np.linspace(0.0, 300.0, 61))
         total = run.energies.sum(axis=1)
         scale = np.abs(run.energies).sum(axis=1).max()
         assert np.abs(total).max() <= 1e-8 * scale
 
     def test_trajectory_energies_match_direct_route(self, model):
-        times = np.array([0.0, 7.0, 40.0])
-        run = exact_trajectory(model, times)
+        # mode-space route against the phase-space reference: Σ(t) = UΣ(0)U†
+        times = np.array([0.0, 7.0, 40.0, 133.3, 300.0])
+        run = exact_trajectory(model.params, times)
         sig0 = initial_covariance(model.params)
         assert np.array_equal(run.energies[0], np.array(energy_components(sig0, model.params)))
         for i, t in enumerate(times):
-            direct = energy_components(propagate_exact(model, sig0, t), model.params)
+            sig_t = propagate_exact(model, sig0, t)
+            direct = energy_components(sig_t, model.params)
             assert np.abs(run.energies[i] - np.array(direct)).max() < 1e-9
+            st = system_moments(sig_t)
+            assert abs(run.trajectory.n_plus[i] - st.n_plus) < 1e-9
+            assert abs(run.trajectory.n_minus[i] - st.n_minus) < 1e-9
+            assert abs(run.trajectory.cross[i] - st.cross) < 1e-9
+
+    def test_small_bath_matches_dense_expm(self):
+        # M = 4: moments and energies against Σ(t) = SΣ(0)Sᵀ, S = expm(ΩℋT)
+        p = params(M=4)
+        m = build_full_model(p)
+        sig0 = initial_covariance(p).sigma
+        times = np.array([0.0, 0.9, 2.3, 17.0, 64.5])
+        run = exact_trajectory(p, times)
+        for i, t in enumerate(times):
+            s = expm(m.omega @ m.hmat * t)
+            sig_t = s @ sig0 @ s.T
+            st = system_moments(0.5 * (sig_t + sig_t.T))
+            assert abs(run.trajectory.n_plus[i] - st.n_plus) < 1e-10
+            assert abs(run.trajectory.n_minus[i] - st.n_minus) < 1e-10
+            assert abs(run.trajectory.cross[i] - st.cross) < 1e-10
+            direct = np.array(energy_components(sig_t, p))
+            assert np.abs(run.energies[i] - direct).max() < 1e-10
 
     def test_coupling_weight_grows_at_low_temperature(self):
         times = np.linspace(0.0, 20.0, 41)
         ratios = {}
         for label, n0 in (("hot", 10.0), ("cold", 0.01)):
             p = params(n_omega0=n0, M=200)
-            run = exact_trajectory(build_full_model(p), times)
+            run = exact_trajectory(p, times)
             e_s = run.energies[1:, 0] + run.energies[1:, 1]
             e_1 = run.energies[1:, 2]
             ratios[label] = np.abs(e_1 / e_s).max()
@@ -200,8 +223,7 @@ class TestRecurrence:
         times = np.linspace(95.0, 112.0, 18)
         runs = {}
         for m_count in (50, 400, 800):
-            run = exact_trajectory(build_full_model(params(M=m_count)), times,
-                                   with_energies=False)
+            run = exact_trajectory(params(M=m_count), times, with_energies=False)
             runs[m_count] = np.column_stack([run.trajectory.n_plus,
                                              run.trajectory.n_minus])
         fine_gap = np.abs(runs[400] - runs[800]).max()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,14 @@ def params(**over):
 
 
 class TestParams:
+    def test_cold_bath_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = params(n_omega0=None, beta=1e4)
+            assert p.n_occupation_omega0 == 0.0
+            coeffs = dissipator_coefficients(p)
+        assert coeffs.n_occ_plus == 0.0 and coeffs.n_occ_minus == 0.0
+
     def test_temperature_round_trip(self):
         p = params(n_omega0=10.0)
         assert p.n_occupation_omega0 == pytest.approx(10.0, rel=1e-14)
@@ -158,6 +167,16 @@ class TestMemoryTime:
         # a single bath mode gives a constant-magnitude correlation
         with pytest.raises(EstimationError):
             memory_time(params(M=1, omega_c=3.0))
+
+    def test_first_crossing_matches_dense_grid(self):
+        # the cold sub-Ohmic bath crosses past the first scan block (index > 512)
+        for p in (params(), params(n_omega0=0.01, alpha=0.5), params(M=50, alpha=2.0)):
+            step = 1.0 / (20.0 * p.omega_c)
+            grid = np.arange(0.0, p.recurrence_time / 2.0 + step, step)
+            envelope = np.abs(correlation_function(1, grid, p))
+            half = abs(correlation_function(1, 0.0, p)) / 2.0
+            hi = np.nonzero(envelope <= half)[0][0]
+            assert grid[hi - 1] < memory_time(p) < grid[hi]
 
 
 def pv_oracle(kind, w_t, p, delta=1e-3):
