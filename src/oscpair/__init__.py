@@ -19,10 +19,10 @@ from .gaussian import (ABMoments, EigenmodeCovariance, VCAL, XI, eigenmode_covar
                        mixture_fidelity_lower_bound, to_ab_basis)
 from .fock import (TruncatedState, boundary_population, fidelity_truncated,
                    lindblad_propagate, number_expectations, thermal_product_state)
-from .moments import (AffineGenerator, MomentState, Trajectory, VACUUM,
+from .moments import (AffineGenerator, MomentState, Scheme, Trajectory, VACUUM,
                       asymptotic_gap_first_order, cg_redfield_generator,
-                      global_closed_form, global_generator, local_closed_form,
-                      local_generator, mixture_moments, propagate, steady_state)
+                      global_closed_form, local_closed_form, local_generator,
+                      mixture_moments, propagate, steady_state)
 from .params import SATURATING, ModelParams
 from .runner import SchemeRunner, time_grid
 from .spectral import (CoefficientSet, CpThreshold, bath_modes, bose_factor,

@@ -11,27 +11,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, OscPairError, ValidationError
+from .errors import DomainError, EstimationError, OscPairError, ValidationError
 from .gaussian import (eigenmode_covariance, gaussian_fidelity_sq, lambda_c_trajectory,
                        mixture_fidelity_lower_bound, to_ab_basis)
-from .moments import MomentState, Trajectory, cg_redfield_generator, local_generator, steady_state
+from .moments import MomentState, Trajectory, steady_state
 from .params import SATURATING, ModelParams
 from .presets import PRESETS, preset
-from .runner import SchemeRunner, filter_value, parse_scheme, time_grid
-from .spectral import bose_factor, cp_bound_from_tensors, memory_time
+from .runner import SchemeRunner, parse_scheme, resolve_scheme, time_grid
+from .spectral import CoefficientSet, bose_factor, cp_bound_from_tensors, memory_time
 from . import verify as verify_mod
 
 _PARAM_KEYS = {
     "omega0": float, "g": float, "kappa0": float, "omega_c": float, "alpha": float,
     "beta": float, "n_omega0": float, "M": int, "mixture_rate": float,
 }
-_GRID_KINDS = ("lin", "log")
 
 
 @dataclass
@@ -45,6 +43,7 @@ class RunConfig:
     reference: str = "exact"
     oracle_verify: bool = False
     outdir: Path = field(default_factory=lambda: Path("."))
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.schemes:
@@ -54,16 +53,7 @@ class RunConfig:
         if "mixture" in self.schemes:
             if "local" not in self.schemes or "global" not in self.schemes:
                 raise ValidationError("mixture requires both local and global schemes")
-        start, stop, count, kind = self.grid
-        if kind not in _GRID_KINDS:
-            raise ValidationError(f"grid kind must be one of {_GRID_KINDS}")
-        if count < 2:
-            raise ValidationError("grid count must be >= 2")
-        if not stop > start:
-            raise ValidationError("grid stop must exceed start")
-
-    def times(self) -> np.ndarray:
-        return time_grid(*self.grid)
+        self.times = time_grid(*self.grid)
 
 
 def _parse_set(entries: list[str]) -> dict:
@@ -175,20 +165,15 @@ def _state_summary(state: MomentState) -> dict:
 
 
 def _trajectory_columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
-    lam = lambda_c_trajectory(traj)
-    total = traj.n_plus + traj.n_minus
-    aa = 0.5 * total + traj.cross.real
-    bb = 0.5 * total - traj.cross.real
-    re_ab = 0.5 * (traj.n_plus - traj.n_minus)
-    im_ab = traj.cross.imag
+    ab = to_ab_basis(traj)
     header = ["t", "n_plus", "n_minus", "re_cross", "im_cross", "lambda_c",
               "aa", "bb", "re_ab", "im_ab"]
     cols = [traj.times, traj.n_plus, traj.n_minus, traj.cross.real, traj.cross.imag,
-            lam, aa, bb, re_ab, im_ab]
+            lambda_c_trajectory(traj), ab.aa, ab.bb, ab.ab_dag.real, ab.ab_dag.imag]
     return header, cols
 
 
-def _run_oracle_spot_check(cfg: RunConfig) -> dict:
+def _run_oracle_spot_check(cfg: RunConfig, coeffs: CoefficientSet) -> dict:
     n_slow = bose_factor(cfg.params.omega_minus, cfg.params.beta)
     if n_slow > 1.2:
         raise ValidationError(
@@ -197,21 +182,10 @@ def _run_oracle_spot_check(cfg: RunConfig) -> dict:
     case_schemes = [s for s in cfg.schemes if s in ("local", "global")]
     if not case_schemes:
         raise ValidationError("oracle-verify needs local or global among the schemes")
-    from .fock import lindblad_propagate, number_expectations, thermal_product_state
-    t_max = min(cfg.times()[-1], 20.0 / cfg.params.omega0)
-    times = np.linspace(0.0, t_max, 5)
+    times = np.linspace(0.0, min(cfg.times[-1], 20.0 / cfg.params.omega0), 5)
     d = verify_mod._cutoff_for(min(n_slow, 1.2))
-    runner = SchemeRunner(cfg.params, lamb_shift=cfg.lamb_shift)
-    worst = 0.0
-    for scheme in case_schemes:
-        states = lindblad_propagate(scheme, cfg.params, thermal_product_state(0, 0, d),
-                                    times, lamb_shift=cfg.lamb_shift)
-        traj = runner.trajectory(scheme, times)
-        for i, st in enumerate(states):
-            mom = number_expectations(st)
-            worst = max(worst, abs(mom.n_plus - traj.n_plus[i]),
-                        abs(mom.n_minus - traj.n_minus[i]),
-                        abs(mom.cross - traj.cross[i]))
+    worst = max(verify_mod.moment_deviation(resolve_scheme(name, coeffs), d, times)[0]
+                for name in case_schemes)
     if worst > 1e-4:
         raise OscPairError(f"oracle spot check failed: moment deviation {worst:.2e}")
     return {"schemes": case_schemes, "cutoff": d, "max_moment_deviation": worst}
@@ -221,7 +195,7 @@ def cmd_run(args) -> int:
     cfg = build_config(args)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     runner = SchemeRunner(cfg.params, lamb_shift=cfg.lamb_shift)
-    times = cfg.times()
+    times = cfg.times
 
     summary_schemes: dict = {}
     for scheme in cfg.schemes:
@@ -233,22 +207,22 @@ def cmd_run(args) -> int:
             cols += [energies[:, j] for j in range(4)]
         _write_csv(cfg.outdir / _scheme_filename(scheme), header, cols)
 
-        entry: dict = {}
-        kind, s = parse_scheme(scheme)
-        if kind in ("redfield", "cp_redfield", "cg_redfield", "global"):
-            s_val = filter_value(kind, s, cfg.params, runner.coeffs)
-            entry["filter_s"] = s_val
-            entry["steady_state"] = _state_summary(
-                steady_state(cg_redfield_generator(runner.coeffs, s_val)))
-        elif kind == "local":
-            entry["steady_state"] = _state_summary(
-                steady_state(local_generator(runner.coeffs, cfg.lamb_shift)))
-        elif kind == "mixture":
-            entry["steady_state"] = _state_summary(
-                steady_state(cg_redfield_generator(runner.coeffs, 0.0)))
-        else:  # exact: no closed-form fixed point, report the end of the run
-            entry["final_state"] = _state_summary(traj.state(len(traj) - 1))
+        if scheme == "exact":  # no closed-form fixed point, report the end of the run
+            entry = {"final_state": _state_summary(traj.state(len(traj) - 1))}
+        elif scheme == "mixture":  # relaxes to the global fixed point
+            global_eq = resolve_scheme("global", runner.coeffs)
+            entry = {"steady_state": _state_summary(steady_state(global_eq.generator()))}
+        else:
+            equation = resolve_scheme(scheme, runner.coeffs)
+            entry = {"steady_state": _state_summary(steady_state(equation.generator()))}
+            if equation.filter_s is not None:
+                entry["filter_s"] = equation.filter_s
         summary_schemes[scheme] = entry
+
+    try:
+        tau_memory = memory_time(cfg.params)
+    except EstimationError:  # e.g. a cold bath whose |c^(1)| never halves
+        tau_memory = None
 
     summary = {
         "params": _params_summary(cfg.params),
@@ -256,12 +230,12 @@ def cmd_run(args) -> int:
         "grid": {"start": cfg.grid[0], "stop": cfg.grid[1],
                  "count": cfg.grid[2], "kind": cfg.grid[3]},
         "cp_threshold": cp_bound_from_tensors(runner.coeffs.gamma1, runner.coeffs.gamma2),
-        "tau_memory": memory_time(cfg.params),
+        "tau_memory": tau_memory,
         "t_recurrence": cfg.params.recurrence_time,
         "schemes": summary_schemes,
     }
     if cfg.oracle_verify:
-        summary["oracle_verify"] = _run_oracle_spot_check(cfg)
+        summary["oracle_verify"] = _run_oracle_spot_check(cfg, runner.coeffs)
     _write_json(cfg.outdir / "summary.json", summary)
     print(f"wrote {len(cfg.schemes)} scheme file(s) + summary.json to {cfg.outdir}")
     return 0
@@ -287,7 +261,7 @@ def cmd_fidelity(args) -> int:
         raise ValidationError("the mixture state is not Gaussian; pick another reference")
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     runner = SchemeRunner(cfg.params, lamb_shift=cfg.lamb_shift)
-    times = cfg.times()
+    times = cfg.times
 
     ref_traj = runner.trajectory(cfg.reference, times)
     ref_gammas = [eigenmode_covariance(ref_traj.state(i)) for i in range(len(times))]
@@ -358,8 +332,7 @@ def cmd_sweep(args) -> int:
             return value_text, {"status": "error", "dir": Path(sub.out).name,
                                 "error": f"{type(exc).__name__}: {exc}"}
 
-    with ThreadPoolExecutor(max_workers=min(4, len(raw_values))) as pool:
-        results = dict(pool.map(one, raw_values))
+    results = dict(one(value) for value in raw_values)
     index = {"axis": args.axis, "values": results}
     _write_json(out_root / "index.json", index)
     failures = [v for v, r in results.items() if r["status"] != "ok"]

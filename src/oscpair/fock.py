@@ -1,19 +1,16 @@
 """Brute-force verification backend on a truncated two-mode Fock space.
 
-Density matrices are kept dense (d² × d² for per-mode cutoff d) and the
-master equations are integrated in operator form, independently of the
-Gaussian moment machinery, so agreement between the two routes certifies
-both. All schemes here share one structure: jump coefficients u, w and a
-Lamb-shift matrix h over the eigenmode operators γ±,
+Density matrices are kept dense (d² × d² for per-mode cutoff d), and a
+:class:`~oscpair.moments.Scheme` is integrated in operator form from its
+(u, w, h) matrices. The moment route derives its 4×4 generator from the same
+matrices, so the two routes share the definition of each scheme and nothing
+else: agreement certifies the generator derivation and the Gaussian
+machinery against the full master equation.
 
-    ρ' = −i[H_S + Σ h_{σσ'} γ_σ†γ_σ', ρ]
-         + Σ u_{σσ'} (γ_σ†ργ_σ' − ½{γ_σ'γ_σ†, ρ})
-         + Σ w_{σσ'} (γ_σ'ργ_σ† − ½{γ_σ†γ_σ', ρ}).
-
-The integrator works in the interaction picture of the bare H_S, where each
-(σ, σ') group simply carries the phase e^{i(ω_σ−ω_σ')t}; this removes the
-fast ω0 rotation without any approximation. A literal Schrödinger-picture
-right-hand side is kept for cross-validation.
+The integrator works in the interaction picture of the bare
+H_S = ω₊γ₊†γ₊ + ω₋γ₋†γ₋, where each (σ, σ') group carries the phase
+e^{i(ω_σ−ω_σ')t}; this removes the fast ω0 rotation without any
+approximation.
 """
 
 from __future__ import annotations
@@ -26,9 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import CutoffError, DomainError, NonPhysicalStateError
-from .moments import MomentState
-from .params import ModelParams
-from .spectral import dissipator_coefficients
+from .moments import MomentState, Scheme
 
 BOUNDARY_TOL = 1e-6
 THERMAL_TAIL_TOL = 1e-8
@@ -62,10 +57,9 @@ def _ops(d: int) -> dict:
     b = np.kron(eye, ladder)
     gp = (a + b) / math.sqrt(2.0)
     gm = (a - b) / math.sqrt(2.0)
-    out = {"a": a, "b": b, "g": (gp, gm)}
-    for arr in (a, b, gp, gm):
+    for arr in (gp, gm):
         arr.setflags(write=False)
-    return out
+    return {"g": (gp, gm)}
 
 
 def number_expectations(state: TruncatedState) -> MomentState:
@@ -112,114 +106,57 @@ def thermal_product_state(n_plus: float, n_minus: float, d: int) -> TruncatedSta
     return TruncatedState(rho / np.trace(rho).real, d)
 
 
-def _scheme_tensors(scheme: str, params: ModelParams, s, lamb_shift: bool):
-    """(u, w, h) 2×2 coefficient matrices over (γ₊, γ₋) for a scheme name."""
-    coeffs = dissipator_coefficients(params, lamb_shift=lamb_shift)
-    if scheme == "local":
-        k0, n0 = coeffs.kappa_omega0, coeffs.n_occ_omega0
-        u = 0.5 * k0 * n0 * np.ones((2, 2), dtype=complex)
-        w = 0.5 * k0 * (1.0 + n0) * np.ones((2, 2), dtype=complex)
-        h = 0.5 * coeffs.delta_omega_a * np.ones((2, 2), dtype=complex)
-        return u, w, h
-    if scheme == "global":
-        s = 0.0
-    elif scheme == "cg_redfield":
-        if s is None:
-            raise DomainError("cg_redfield needs an explicit filter value s")
-    else:
-        raise DomainError(f"unknown oracle scheme {scheme!r}")
-    filt = np.array([[1.0, s], [s, 1.0]])
-    u = filt * coeffs.gamma1
-    w = np.empty((2, 2), dtype=complex)
-    h = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            w[i, j] = filt[i, j] * coeffs.gamma2[j, i]
-            h[i, j] = filt[i, j] * (coeffs.eta1[i, j] + coeffs.eta2[j, i])
-    return u, w, h
-
-
-def lindblad_propagate(scheme: str, params: ModelParams, rho0: TruncatedState, times,
-                       *, s: float | None = None, lamb_shift: bool = True,
-                       picture: str = "interaction", rtol: float = 1e-10,
-                       atol: float = 1e-12) -> list[TruncatedState]:
+def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times, *,
+                       rtol: float = 1e-10, atol: float = 1e-12) -> list[TruncatedState]:
     """Integrate the operator-form master equation, returning Schrödinger-picture states.
 
-    ``scheme`` is "local", "global" or "cg_redfield" (the latter at filter
-    value ``s``; Redfield is s = 1). Uses an adaptive explicit integrator at
-    tolerance 1e−10 and monitors the population of the edge Fock level at
-    every output time, raising ``CutoffError`` above 1e−6.
+    Uses an adaptive explicit integrator at tolerance 1e−10 and monitors the
+    population of the edge Fock level at every output time, raising
+    ``CutoffError`` above 1e−6.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
         raise DomainError("times must be strictly increasing and start at 0")
-    if picture not in ("interaction", "schrodinger"):
-        raise DomainError(f"unknown picture {picture!r}")
     d = rho0.cutoff
     dim = d * d
-    gp, gm = _ops(d)["g"]
-    gams = (gp, gm)
-    omegas = (params.omega_plus, params.omega_minus)
-    u, w, h = _scheme_tensors(scheme, params, s, lamb_shift)
+    gams = _ops(d)["g"]
+    u, w, h = scheme.u, scheme.w, scheme.h
 
-    # per-(σ,σ') drift matrices; the jump parts stay explicit
-    groups = []
+    # drift matrices and explicit jump terms, pooled by the phase
+    # e^{i(ω_σ−ω_σ')t} their (σ, σ') group carries
+    groups: dict[float, dict] = {}
     for i in range(2):
         for j in range(2):
-            anti = 0.5 * (u[i, j] * gams[j] @ gams[i].conj().T
-                          + w[i, j] * gams[i].conj().T @ gams[j])
-            ham = h[i, j] * gams[i].conj().T @ gams[j]
-            groups.append({
-                "freq": omegas[i] - omegas[j],
-                "left": -1j * ham - anti,
-                "right": 1j * ham - anti,
-                "jump": [(u[i, j], gams[i].conj().T, gams[j]),
-                         (w[i, j], gams[j], gams[i].conj().T)],
-            })
-    # groups sharing a phase can pool their drift matrices
-    merged: dict[float, dict] = {}
-    for grp in groups:
-        tgt = merged.setdefault(grp["freq"], {"freq": grp["freq"], "left": 0.0,
-                                              "right": 0.0, "jump": []})
-        tgt["left"] = tgt["left"] + grp["left"]
-        tgt["right"] = tgt["right"] + grp["right"]
-        tgt["jump"].extend(grp["jump"])
-    groups = list(merged.values())
+            up, down = gams[i].conj().T, gams[j]
+            anti = 0.5 * (u[i, j] * down @ up + w[i, j] * up @ down)
+            ham = h[i, j] * up @ down
+            grp = groups.setdefault(scheme.omegas[i] - scheme.omegas[j],
+                                    {"left": 0.0, "right": 0.0, "jump": []})
+            grp["left"] = grp["left"] + (-1j * ham - anti)
+            grp["right"] = grp["right"] + (1j * ham - anti)
+            grp["jump"] += [(u[i, j], up, down), (w[i, j], down, up)]
 
-    h_s = params.omega0 * (gp.conj().T @ gp + gm.conj().T @ gm) \
-        + params.g * (gp.conj().T @ gp - gm.conj().T @ gm)
-
-    if picture == "interaction":
-        def rhs(t, y):
-            rho = y.reshape(dim, dim)
-            out = np.zeros_like(rho)
-            for grp in groups:
-                acc = grp["left"] @ rho + rho @ grp["right"]
-                for coef, left, right in grp["jump"]:
-                    acc += coef * (left @ (rho @ right))
-                phase = np.exp(1j * grp["freq"] * t)
-                out += phase * acc if grp["freq"] != 0.0 else acc
-            return out.ravel()
-    else:
-        def rhs(t, y):
-            rho = y.reshape(dim, dim)
-            out = -1j * (h_s @ rho - rho @ h_s)
-            for grp in groups:
-                out += grp["left"] @ rho + rho @ grp["right"]
-                for coef, left, right in grp["jump"]:
-                    out += coef * (left @ (rho @ right))
-            return out.ravel()
+    def rhs(t, y):
+        rho = y.reshape(dim, dim)
+        out = np.zeros_like(rho)
+        for freq, grp in groups.items():
+            acc = grp["left"] @ rho + rho @ grp["right"]
+            for coef, left, right in grp["jump"]:
+                acc += coef * (left @ (rho @ right))
+            out += np.exp(1j * freq * t) * acc if freq != 0.0 else acc
+        return out.ravel()
 
     sol = solve_ivp(rhs, (times[0], times[-1]), rho0.rho.ravel().astype(complex),
                     t_eval=times, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise CutoffError(f"master-equation integration failed: {sol.message}")
 
+    h_s = sum(omega * gam.conj().T @ gam for omega, gam in zip(scheme.omegas, gams))
     evals, evecs = np.linalg.eigh(h_s)
     out = []
     for i, t in enumerate(times):
         rho = sol.y[:, i].reshape(dim, dim)
-        if picture == "interaction" and t != 0.0:
+        if t != 0.0:
             rot = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
             rho = rot @ rho @ rot.conj().T
         rho = 0.5 * (rho + rho.conj().T)

@@ -41,10 +41,6 @@ class EigenmodeCovariance:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def from_moments(cls, state: MomentState) -> "EigenmodeCovariance":
-        return eigenmode_covariance(state)
-
 
 def eigenmode_covariance(state: MomentState) -> EigenmodeCovariance:
     """Covariance of the zero-mean Gaussian state with the given moments:
@@ -114,10 +110,11 @@ def gaussian_fidelity_sq(gamma1, gamma2) -> tuple[float, bool]:
       c = 2⁻⁴ det(Γ₁+iΞ) det(Γ₂+iΞ).
 
     Returns (Re F², physical). For physical inputs every intermediate is a
-    non-negative real and the flag is True; states that violate the
-    uncertainty relation (e.g. plain-Redfield outputs) drive the radicands
-    complex, in which case the real part of the principal-branch value is
-    reported with the flag False.
+    non-negative real and the flag is True; values in (1, 1+1e−9] are then
+    clamped to 1, and larger overshoot raises ``ConsistencyError``. States
+    that violate the uncertainty relation (e.g. plain-Redfield outputs) drive
+    the radicands complex, in which case the real part of the
+    principal-branch value is reported, unclamped, with the flag False.
     """
     m1, m2 = _covs(gamma1, gamma2)
     a = np.linalg.det(m1 + m2) / 16.0
@@ -133,7 +130,11 @@ def gaussian_fidelity_sq(gamma1, gamma2) -> tuple[float, bool]:
     # conjugate form of 1/(root − sqrt(inner)): exact identity, no cancellation
     f2 = (root + np.sqrt(inner)) / a
     physical = physical and abs(f2.imag) < 1e-8 * max(1.0, abs(f2))
-    return float(f2.real), bool(physical)
+    if not physical:
+        return float(f2.real), False
+    if f2.real > 1.0 + 1e-9:
+        raise ConsistencyError(f"squared fidelity {f2.real} exceeds 1 beyond roundoff")
+    return min(float(f2.real), 1.0), True
 
 
 def gaussian_fidelity(gamma1, gamma2) -> float:
@@ -142,7 +143,6 @@ def gaussian_fidelity(gamma1, gamma2) -> float:
     Raises ``NonPhysicalStateError`` when either Γ + iΞ fails positive
     semidefiniteness beyond −1e−8 or the closed formula leaves the real
     axis; use :func:`gaussian_fidelity_sq` for the flagged real-part value.
-    Values in (1, 1+1e−9] are clamped to 1; larger overshoot is an error.
     """
     m1, m2 = _covs(gamma1, gamma2)
     for m in (m1, m2):
@@ -156,10 +156,7 @@ def gaussian_fidelity(gamma1, gamma2) -> float:
         raise NonPhysicalStateError(
             "fidelity formula left the real axis; "
             "use gaussian_fidelity_sq for the flagged value")
-    f = math.sqrt(max(f2, 0.0))
-    if f > 1.0 + 1e-9:
-        raise ConsistencyError(f"fidelity {f} exceeds 1 beyond roundoff")
-    return min(f, 1.0)
+    return math.sqrt(max(f2, 0.0))
 
 
 def mixture_fidelity_lower_bound(f_loc, f_glob, mixture_rate: float, t):
@@ -187,7 +184,11 @@ class ABMoments:
 
 def to_ab_basis(state: MomentState) -> ABMoments:
     """Eigenmode → a,b basis:
-    ⟨a†a⟩±⟨b†b⟩ = (n₊+n₋) or 2Re⟨γ₋γ₊†⟩, ⟨ab†⟩ = ½(n₊−n₋) + i Im⟨γ₋γ₊†⟩."""
+    ⟨a†a⟩±⟨b†b⟩ = (n₊+n₋) or 2Re⟨γ₋γ₊†⟩, ⟨ab†⟩ = ½(n₊−n₋) + i Im⟨γ₋γ₊†⟩.
+
+    Also maps whole trajectories: given a :class:`~oscpair.moments.Trajectory`,
+    each field of the result is an array over its time grid.
+    """
     total = state.n_plus + state.n_minus
     return ABMoments(
         aa=0.5 * total + state.cross.real,

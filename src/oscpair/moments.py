@@ -1,10 +1,17 @@
-"""Second-moment dynamics of the master-equation schemes.
+"""Master-equation schemes and their second-moment dynamics.
+
+Every scheme the paper compares (Redfield, CP-Redfield, coarse-grained
+Redfield, global, local) is one :class:`Scheme`: gain, loss and Lamb-shift
+matrices (u, w, h) over the eigenmode operators γ±. The Fock oracle
+integrates the same record in operator form.
 
 For the ground-state initial condition only three moments evolve:
-n₊ = ⟨γ₊†γ₊⟩, n₋ = ⟨γ₋†γ₋⟩ and the cross correlation ⟨γ₋γ₊†⟩. Every scheme
-is a real affine system ẋ = Ax + b on x = (n₊, n₋, Re cross, Im cross), and
-propagation goes through the spectral decomposition of A — there is no
-time-stepping truncation error anywhere in this module.
+n₊ = ⟨γ₊†γ₊⟩, n₋ = ⟨γ₋†γ₋⟩ and the cross correlation ⟨γ₋γ₊†⟩.
+:meth:`Scheme.generator` derives from (u, w, h) the real affine system
+ẋ = Ax + b on x = (n₊, n₋, Re cross, Im cross), and propagation goes through
+the spectral decomposition of A — there is no time-stepping truncation
+error anywhere in this module. The local/global mixture is a convex
+combination of two trajectories, not a scheme of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from .errors import DomainError, PropagationError, SteadyStateError
 from .params import ModelParams
 from .spectral import CoefficientSet, bose_factor, pv_integral
 
-_P, _M = 0, 1
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,6 @@ class Trajectory:
         return MomentState(float(self.n_plus[i]), float(self.n_minus[i]),
                            complex(self.cross[i]))
 
-    @property
-    def states(self) -> list[MomentState]:
-        return [self.state(i) for i in range(len(self))]
-
 
 class AffineGenerator:
     """ẋ = Ax + b with eigen-decomposition cached at construction."""
@@ -98,88 +100,96 @@ class AffineGenerator:
         return f"AffineGenerator(scheme={self.scheme!r})"
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """One master equation of the family, as coefficient matrices over (γ₊, γ₋).
+
+    In the interaction picture of H_S = Σ ω_σ γ_σ†γ_σ every scheme reads
+
+        ρ' = −i[Σ h_{σσ'} γ_σ†γ_σ', ρ]
+             + Σ u_{σσ'} (γ_σ†ργ_σ' − ½{γ_σ'γ_σ†, ρ})
+             + Σ w_{σσ'} (γ_σ'ργ_σ† − ½{γ_σ†γ_σ', ρ}),
+
+    with each (σ, σ') term carrying the phase e^{i(ω_σ−ω_σ')t}. ``u`` and
+    ``w`` are the gain and loss matrices, ``h`` the Lamb shift; all three are
+    Hermitian. ``omegas`` are the bare (ω₊, ω₋). ``filter_s`` is the
+    off-diagonal filter of the coarse-grained Redfield family (1 Redfield,
+    0 global) and None for the local scheme.
+    """
+
+    name: str
+    u: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    omegas: tuple[float, float]
+    filter_s: float | None = None
+
+    def __post_init__(self):
+        for field in ("u", "w", "h"):
+            arr = np.array(getattr(self, field), dtype=complex)
+            if arr.shape != (2, 2):
+                raise DomainError(f"scheme matrix {field} must be 2x2")
+            arr.setflags(write=False)
+            object.__setattr__(self, field, arr)
+
+    @classmethod
+    def coarse_grained(cls, coeffs: CoefficientSet, s: float,
+                       name: str | None = None) -> "Scheme":
+        """Coarse-grained Redfield at filter value s; |s| is not restricted to
+        the positivity bound. The filter multiplies every non-secular term."""
+        filt = np.array([[1.0, s], [s, 1.0]])
+        return cls(
+            name=f"cg_redfield:{s:g}" if name is None else name,
+            u=filt * coeffs.gamma1,
+            w=filt * coeffs.gamma2.T,
+            h=filt * (coeffs.eta1 + coeffs.eta2.T),
+            omegas=(coeffs.omega_plus, coeffs.omega_minus),
+            filter_s=s,
+        )
+
+    @classmethod
+    def local(cls, coeffs: CoefficientSet) -> "Scheme":
+        """Local scheme: the bath sees only a = (γ₊ + γ₋)/√2, at ω0."""
+        ones = np.ones((2, 2))
+        k0, n0 = coeffs.kappa_omega0, coeffs.n_occ_omega0
+        return cls(
+            name="local",
+            u=0.5 * k0 * n0 * ones,
+            w=0.5 * k0 * (1.0 + n0) * ones,
+            h=0.5 * coeffs.delta_omega_a * ones,
+            omegas=(coeffs.omega_plus, coeffs.omega_minus),
+        )
+
+    def generator(self) -> "AffineGenerator":
+        """Moment generator on x = (N₊₊, N₋₋, Re N₊₋, Im N₊₋), N_ij = ⟨γ_i†γ_j⟩.
+
+        Back in the Schrödinger picture the phases e^{i(ω_σ−ω_σ')t} become
+        the bare H_S, and the master equation gives the time-independent
+        Ṅ = KN + NK† + uᵀ with K = iHᵀ − ½(wᵀ − uᵀ) and H = diag(ω±) + h.
+        """
+        k = 1j * (np.diag(self.omegas) + self.h).T - 0.5 * (self.w - self.u).T
+        a = np.column_stack([_coords(k @ e + e @ k.conj().T) for e in _HERMITIAN_BASIS])
+        return AffineGenerator(a, _coords(self.u.T), self.name)
+
+
+#: Hermitian 2×2 matrices whose coordinates are the unit vectors of x
+_HERMITIAN_BASIS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                    np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1j], [-1j, 0.0]]))
+
+
+def _coords(n: np.ndarray) -> np.ndarray:
+    return np.array([n[0, 0].real, n[1, 1].real, n[0, 1].real, n[0, 1].imag])
+
+
 def cg_redfield_generator(coeffs: CoefficientSet, s: float,
                           scheme: str | None = None) -> AffineGenerator:
-    """Moment generator of the coarse-grained Redfield family at filter value s.
-
-    s = 1 is the plain Redfield equation, s = 0 the full-secular (global)
-    limit; |s| is not restricted to the positivity bound. The cross moment
-    rotates at the Lamb-shifted splitting ω₊+δω₊−ω₋−δω₋ and the filter
-    multiplies every non-secular coupling term.
-    """
-    g1, g2, e1, e2 = coeffs.gamma1, coeffs.gamma2, coeffs.eta1, coeffs.eta2
-    p = e1[_P, _M] + e2[_M, _P]          # multiplies cross in the n± equations
-    q = g1[_P, _M] - g2[_M, _P]
-    r = e1[_M, _P] + e2[_P, _M]          # multiplies n₋−n₊ in the cross equation
-    t = g1[_M, _P] - g2[_P, _M]
-    drive = g1[_M, _P]
-    delta = (coeffs.omega_plus + coeffs.delta_omega_plus
-             - coeffs.omega_minus - coeffs.delta_omega_minus)
-    decay = 0.25 * (coeffs.kappa_plus + coeffs.kappa_minus)
-
-    a = np.zeros((4, 4))
-    b = np.zeros(4)
-    a[0, 0] = -0.5 * coeffs.kappa_plus
-    a[0, 2] = s * (2.0 * p.imag + q.real)
-    a[0, 3] = s * (2.0 * p.real - q.imag)
-    a[1, 1] = -0.5 * coeffs.kappa_minus
-    a[1, 2] = s * (-2.0 * p.imag + q.real)
-    a[1, 3] = s * (-2.0 * p.real - q.imag)
-    a[2, 0] = s * (r.imag + 0.5 * t.real)
-    a[2, 1] = s * (-r.imag + 0.5 * t.real)
-    a[2, 2] = -decay
-    a[2, 3] = -delta
-    a[3, 0] = s * (-r.real + 0.5 * t.imag)
-    a[3, 1] = s * (r.real + 0.5 * t.imag)
-    a[3, 2] = delta
-    a[3, 3] = -decay
-    b[0] = 0.5 * coeffs.kappa_plus * coeffs.n_occ_plus
-    b[1] = 0.5 * coeffs.kappa_minus * coeffs.n_occ_minus
-    b[2] = s * drive.real
-    b[3] = s * drive.imag
-    if scheme is None:
-        scheme = f"cg_redfield:{s:g}"
-    return AffineGenerator(a, b, scheme)
+    """Moment generator of the coarse-grained Redfield family at filter value s."""
+    return Scheme.coarse_grained(coeffs, s, scheme).generator()
 
 
-def global_generator(coeffs: CoefficientSet) -> AffineGenerator:
-    """Full-secular limit: n± relax independently, cross rotates and decays."""
-    gen = cg_redfield_generator(coeffs, 0.0, scheme="global")
-    return gen
-
-
-def local_generator(coeffs: CoefficientSet, include_lamb_shift: bool = True) -> AffineGenerator:
-    """Moment generator of the local master equation (dissipation on mode A only).
-
-    The cross moment oscillates at 2g; all damping happens at κ(ω0) and the
-    local shift δω_A splits n₊ from n₋ when included.
-    """
-    k0 = coeffs.kappa_omega0
-    n0 = coeffs.n_occ_omega0
-    dwa = coeffs.delta_omega_a if include_lamb_shift else 0.0
-    two_g = coeffs.omega_plus - coeffs.omega_minus
-
-    a = np.zeros((4, 4))
-    b = np.zeros(4)
-    a[0, 0] = -0.5 * k0
-    a[0, 2] = -0.5 * k0
-    a[0, 3] = dwa
-    a[1, 1] = -0.5 * k0
-    a[1, 2] = -0.5 * k0
-    a[1, 3] = -dwa
-    a[2, 0] = -0.25 * k0
-    a[2, 1] = -0.25 * k0
-    a[2, 2] = -0.5 * k0
-    a[2, 3] = -two_g
-    a[3, 0] = -0.5 * dwa
-    a[3, 1] = 0.5 * dwa
-    a[3, 2] = two_g
-    a[3, 3] = -0.5 * k0
-    b[0] = 0.5 * k0 * n0
-    b[1] = 0.5 * k0 * n0
-    b[2] = 0.5 * k0 * n0
-    b[3] = 0.0
-    return AffineGenerator(a, b, "local")
+def local_generator(coeffs: CoefficientSet) -> AffineGenerator:
+    """Moment generator of the local master equation (dissipation on mode A only)."""
+    return Scheme.local(coeffs).generator()
 
 
 _COND_LIMIT = 1e8

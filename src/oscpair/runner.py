@@ -1,4 +1,10 @@
-"""Scheme dispatch: one entry point mapping a scheme name to a moment trajectory."""
+"""Scheme names, and the trajectories they stand for.
+
+:func:`resolve_scheme` is the one place a master-equation scheme name
+becomes its :class:`~oscpair.moments.Scheme`; :class:`SchemeRunner` adds the
+two names that are not master equations, the exact model and the
+local/global mixture, and caches trajectories per time grid.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +14,9 @@ import numpy as np
 
 from . import exact as exact_mod
 from .errors import ValidationError
-from .moments import (VACUUM, Trajectory, cg_redfield_generator, local_generator,
-                      mixture_moments, propagate)
-from .params import SATURATING, ModelParams
-from .spectral import cp_bound_from_tensors, dissipator_coefficients, secular_filter
+from .moments import VACUUM, Scheme, Trajectory, mixture_moments, propagate
+from .params import ModelParams
+from .spectral import CoefficientSet, cp_bound_from_tensors, dissipator_coefficients
 
 SCHEMES = ("exact", "redfield", "cp_redfield", "cg_redfield", "global", "local", "mixture")
 
@@ -26,27 +31,35 @@ def parse_scheme(name: str) -> tuple[str, float | None]:
             s = float(arg)
         except ValueError as exc:
             raise ValidationError(f"bad filter value in {name!r}") from exc
+        if not math.isfinite(s):
+            raise ValidationError(f"filter value in {name!r} must be finite")
         return kind, s
     if name not in SCHEMES:
         raise ValidationError(f"unknown scheme {name!r}; choose from {SCHEMES}")
     return name, None
 
 
-def filter_value(kind: str, s: float | None, params: ModelParams, coeffs) -> float:
-    """Resolve the coarse-grain filter S₊₋ a scheme uses."""
+def resolve_scheme(name: str, coeffs: CoefficientSet) -> Scheme:
+    """The master equation a scheme name stands for, at the given coefficients.
+
+    Filter values: Redfield 1, global 0, CP-Redfield the positivity bound,
+    ``cg_redfield`` the explicit ``:s`` or else the ``delta_t`` filter already
+    resolved in ``coeffs.s_offdiag``.
+    """
+    kind, s = parse_scheme(name)
+    if kind == "local":
+        return Scheme.local(coeffs)
     if kind == "redfield":
-        return 1.0
-    if kind == "global":
-        return 0.0
-    if kind == "cp_redfield":
-        return cp_bound_from_tensors(coeffs.gamma1, coeffs.gamma2)
-    if kind == "cg_redfield":
-        if s is not None:
-            return s
-        if params.delta_t == SATURATING:
-            return cp_bound_from_tensors(coeffs.gamma1, coeffs.gamma2)
-        return float(secular_filter(params.delta_t, params.g)[0, 1])
-    raise ValidationError(f"scheme {kind!r} has no filter value")
+        s = 1.0
+    elif kind == "global":
+        s = 0.0
+    elif kind == "cp_redfield":
+        s = cp_bound_from_tensors(coeffs.gamma1, coeffs.gamma2)
+    elif kind == "cg_redfield":
+        s = coeffs.s_offdiag if s is None else s
+    else:
+        raise ValidationError(f"{name!r} is not a master-equation scheme")
+    return Scheme.coarse_grained(coeffs, s, name)
 
 
 class SchemeRunner:
@@ -59,7 +72,6 @@ class SchemeRunner:
 
     def __init__(self, params: ModelParams, *, lamb_shift: bool = True):
         self.params = params
-        self.lamb_shift = lamb_shift
         self.coeffs = dissipator_coefficients(params, lamb_shift=lamb_shift)
         self._exact_runs: dict[bytes, exact_mod.ExactRun] = {}
         self._cache: dict[tuple, Trajectory] = {}
@@ -75,19 +87,14 @@ class SchemeRunner:
         key = (scheme, times.tobytes())
         if key in self._cache:
             return self._cache[key]
-        kind, s = parse_scheme(scheme)
-        if kind == "exact":
+        if scheme == "exact":
             traj = self.exact_run(times).trajectory
-        elif kind == "local":
-            traj = propagate(local_generator(self.coeffs, self.lamb_shift), VACUUM, times)
-        elif kind == "mixture":
+        elif scheme == "mixture":
             traj = mixture_moments(self.trajectory("local", times),
                                    self.trajectory("global", times),
                                    self.params.mixture_rate)
         else:
-            s_val = filter_value(kind, s, self.params, self.coeffs)
-            gen = cg_redfield_generator(self.coeffs, s_val, scheme=scheme)
-            traj = propagate(gen, VACUUM, times)
+            traj = propagate(resolve_scheme(scheme, self.coeffs).generator(), VACUUM, times)
         self._cache[key] = traj
         return traj
 
@@ -108,7 +115,3 @@ def time_grid(start: float, stop: float, count: int, kind: str = "lin") -> np.nd
             raise ValidationError("log grid needs start > 0")
         return np.concatenate(([0.0], np.geomspace(start, stop, count)))
     raise ValidationError(f"grid kind must be lin or log, got {kind!r}")
-
-
-def default_s_label(value: float) -> str:
-    return f"{value:g}" if math.isfinite(value) else str(value)

@@ -381,7 +381,7 @@ def cp_bound_from_tensors(gamma1: np.ndarray, gamma2: np.ndarray) -> float:
             bounds.append(math.sqrt(gam[_P, _P].real * gam[_M, _M].real) / off)
     if not bounds:
         return 1.0
-    return min(min(bounds), 1.0)
+    return float(min(min(bounds), 1.0))
 
 
 class CpThreshold(NamedTuple):

@@ -1,8 +1,8 @@
 """Oracle equivalence checks: Fock-space propagation against the Gaussian pipeline.
 
-Used by both the test suite and the ``verify`` CLI subcommand. Each case
-draws model parameters in the small-occupation regime the truncated oracle
-can certify, propagates one scheme both ways, and compares moment
+Used by the ``verify`` CLI subcommand and by ``run --oracle-verify``. Each
+case draws model parameters in the small-occupation regime the truncated
+oracle can certify, propagates one scheme both ways, and compares moment
 trajectories plus Uhlmann fidelities against a thermal reference state.
 """
 
@@ -17,9 +17,10 @@ from .errors import CutoffError
 from .fock import (TruncatedState, fidelity_truncated, lindblad_propagate,
                    number_expectations, thermal_product_state)
 from .gaussian import eigenmode_covariance, gaussian_fidelity
-from .moments import MomentState
+from .moments import VACUUM, MomentState, Scheme, Trajectory, propagate
 from .params import ModelParams, bose_occupation
-from .runner import SchemeRunner
+from .runner import resolve_scheme
+from .spectral import dissipator_coefficients
 
 _SCHEME_CYCLE = ("local", "global", "cg_redfield")
 _OCCUPANCY_BUDGET = 0.35
@@ -83,28 +84,28 @@ class EquivalenceReport:
         return self.max_moment_error <= 1e-4 and self.max_fidelity_error <= 1e-4
 
 
+def moment_deviation(scheme: Scheme, cutoff: int,
+                     times) -> tuple[float, list[TruncatedState], Trajectory]:
+    """Propagate ``scheme`` from the vacuum through the Fock oracle and the moment
+    route; returns the largest moment difference and both trajectories."""
+    fock_states = lindblad_propagate(scheme, thermal_product_state(0.0, 0.0, cutoff), times)
+    traj = propagate(scheme.generator(), VACUUM, times)
+    worst = 0.0
+    for i, st in enumerate(fock_states):
+        mom = number_expectations(st)
+        worst = max(worst, abs(mom.n_plus - traj.n_plus[i]),
+                    abs(mom.n_minus - traj.n_minus[i]), abs(mom.cross - traj.cross[i]))
+    return worst, fock_states, traj
+
+
 def run_case(case: EquivalenceCase, *, n_times: int = 5) -> EquivalenceReport:
     """Propagate one scheme through both routes and compare."""
     times = np.linspace(0.0, case.t_max, n_times)
-    d = case.cutoff
-    vacuum = thermal_product_state(0.0, 0.0, d)
-    scheme_name = case.scheme if case.s is None else f"cg_redfield:{case.s:.12g}"
+    name = case.scheme if case.s is None else f"cg_redfield:{float(case.s)!r}"
+    scheme = resolve_scheme(name, dissipator_coefficients(case.params))
+    moment_err, fock_states, traj = moment_deviation(scheme, case.cutoff, times)
 
-    fock_states = lindblad_propagate(case.scheme, case.params, vacuum, times, s=case.s)
-    runner = SchemeRunner(case.params)
-    traj = runner.trajectory(scheme_name, times)
-
-    moment_err = 0.0
-    for i, st in enumerate(fock_states):
-        mom = number_expectations(st)
-        moment_err = max(
-            moment_err,
-            abs(mom.n_plus - traj.n_plus[i]),
-            abs(mom.n_minus - traj.n_minus[i]),
-            abs(mom.cross - traj.cross[i]),
-        )
-
-    ref_state = thermal_product_state(*case.reference, d)
+    ref_state = thermal_product_state(*case.reference, case.cutoff)
     ref_gamma = eigenmode_covariance(MomentState(*case.reference, 0j))
     fid_err = 0.0
     for i in (n_times // 2, n_times - 1):

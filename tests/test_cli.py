@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from oscpair.cli import main
@@ -30,12 +32,68 @@ def test_fidelity_in_unit_interval(tmp_path):
     header, rows = read_csv(tmp_path / "fidelity.csv")
     f2 = [j for j, name in enumerate(header) if "f2" in name]
     assert len(f2) == 5
-    # identical states at t = 0 read 1 up to roundoff, the slack gaussian_fidelity clamps
     assert np.all(rows[:, f2] >= 0.0)
     assert np.all(rows[:, f2] <= 1.0 + 1e-9)
+    # physical columns are clamped: identical states at t = 0 read exactly 1
+    physical = [j for j, name in enumerate(header) if name.startswith("f2_")]
+    assert len(physical) == 4
+    assert np.all(rows[:, physical] <= 1.0)
 
 
 def test_bad_set_field_exits_1(tmp_path, capsys):
     argv = ["run", "--preset", "fig7", "--set", "no_such_field=1", "--out", str(tmp_path)]
     assert main(argv) == 1
     assert "no_such_field" in capsys.readouterr().err
+
+
+def test_non_finite_filter_value_exits_1(tmp_path, capsys):
+    argv = ["run", "--preset", "fig7", "--set", "schemes=cg_redfield:nan",
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_cold_bath_run_reports_no_memory_time(tmp_path):
+    # at beta = 1e4 |c^(1)| never halves, so tau_E is undefined, not an error
+    argv = ["run", "--preset", "fig7", "--set", "beta=1e4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["tau_memory"] is None
+
+
+def test_sweep_writes_index(tmp_path):
+    argv = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin", "--axis", "M",
+            "--values", "40,50", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    values = json.loads((tmp_path / "index.json").read_text())["values"]
+    assert [values[v]["status"] for v in ("40", "50")] == ["ok", "ok"]
+    assert "exact.csv" in values["40"]["files"]
+
+
+def test_sweep_records_failed_value_and_exits_2(tmp_path):
+    # g = 2 makes omega_minus negative: that value fails, its sibling still runs
+    argv = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin", "--axis", "g",
+            "--values", "0.2,2.0", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    values = json.loads((tmp_path / "index.json").read_text())["values"]
+    assert values["0.2"]["status"] == "ok"
+    assert values["2.0"]["status"] == "error"
+    assert values["2.0"]["error"].startswith("ValidationError")
+
+
+def test_run_oracle_spot_check(tmp_path):
+    argv = ["run", "--preset", "fig9b", "--oracle-verify", "on", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    oracle = json.loads((tmp_path / "summary.json").read_text())["oracle_verify"]
+    assert oracle["schemes"] == ["global", "local"]
+    assert oracle["cutoff"] == 9
+    assert oracle["max_moment_deviation"] <= 1e-9
+
+
+def test_verify_one_draw():
+    assert main(["verify", "--draws", "1", "--seed", "3"]) == 0
+
+
+def test_threshold(capsys):
+    assert main(["threshold", "--preset", "fig5"]) == 0
+    assert capsys.readouterr().out.startswith("cp_threshold = ")
