@@ -13,9 +13,9 @@ from .exact import (EnergyComponents, ExactRun, FullCovariance, FullModel,
                     build_full_model, energy_components, exact_trajectory,
                     initial_covariance, physicality_min_eigenvalue, propagate_exact,
                     symplectic_spectrum, system_moments)
-from .gaussian import (ABMoments, EigenmodeCovariance, VCAL, XI, eigenmode_covariance,
-                       from_ab_basis, gaussian_fidelity, gaussian_fidelity_sq,
-                       lambda_c, lambda_c_short_time_slope, lambda_c_trajectory,
+from .gaussian import (ABMoments, VCAL, XI, eigenmode_covariance, from_ab_basis,
+                       gaussian_fidelity, gaussian_fidelity_sq, lambda_c,
+                       lambda_c_short_time_slope, lambda_c_trajectory,
                        mixture_fidelity_lower_bound, to_ab_basis)
 from .fock import (TruncatedState, boundary_population, fidelity_truncated,
                    lindblad_propagate, number_expectations, thermal_product_state)

@@ -17,13 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, EstimationError, OscPairError, ValidationError
-from .gaussian import (eigenmode_covariance, gaussian_fidelity_sq, lambda_c_trajectory,
-                       mixture_fidelity_lower_bound, to_ab_basis)
+from .gaussian import (gaussian_fidelity_sq, lambda_c_trajectory, mixture_fidelity_lower_bound,
+                       to_ab_basis)
 from .moments import MomentState, Trajectory, steady_state
 from .params import SATURATING, ModelParams
 from .presets import PRESETS, preset
 from .runner import SchemeRunner, parse_scheme, resolve_scheme, time_grid
-from .spectral import CoefficientSet, bose_factor, cp_bound_from_tensors, memory_time
+from .spectral import (CoefficientSet, bose_factor, cp_bound_from_tensors, dissipation_matrix,
+                       dissipator_coefficients, memory_time)
 from . import verify as verify_mod
 
 _PARAM_KEYS = {
@@ -264,45 +265,29 @@ def cmd_fidelity(args) -> int:
     times = cfg.times
 
     ref_traj = runner.trajectory(cfg.reference, times)
-    ref_gammas = [eigenmode_covariance(ref_traj.state(i)) for i in range(len(times))]
-
-    def f2_column(scheme: str) -> tuple[np.ndarray, np.ndarray]:
-        traj = runner.trajectory(scheme, times)
-        vals = np.empty(times.size)
-        flags = np.zeros(times.size)
-        for i in range(times.size):
-            f2, physical = gaussian_fidelity_sq(
-                eigenmode_covariance(traj.state(i)), ref_gammas[i])
-            vals[i] = f2
-            flags[i] = 0.0 if physical else 1.0
-        return vals, flags
+    f2 = {scheme: gaussian_fidelity_sq(runner.trajectory(scheme, times), ref_traj)
+          for scheme in cfg.schemes if scheme != "mixture"}
 
     header = ["t"]
     cols: list[np.ndarray] = [times]
-    f_cache: dict[str, np.ndarray] = {}
     for scheme in cfg.schemes:
-        if scheme == "mixture":
-            for need in ("local", "global"):
-                if need not in f_cache:
-                    vals, _ = f2_column(need)
-                    f_cache[need] = np.sqrt(np.clip(vals, 0.0, 1.0))
-            bound = mixture_fidelity_lower_bound(
-                f_cache["local"], f_cache["global"], cfg.params.mixture_rate, times)
+        if scheme == "mixture":  # RunConfig guarantees local and global are present
+            f_loc, f_glob = (np.sqrt(np.clip(f2[s][0], 0.0, 1.0)) for s in ("local", "global"))
+            bound = mixture_fidelity_lower_bound(f_loc, f_glob, cfg.params.mixture_rate, times)
             header.append("f2_mixture_lower_bound")
             cols.append(np.asarray(bound) ** 2)
             continue
-        vals, flags = f2_column(scheme)
+        vals, physical = f2[scheme]
         if scheme == "redfield":
             header += ["re_f2_redfield", "redfield_nonphysical"]
-            cols += [vals, flags]
+            cols += [vals, (~physical).astype(float)]
         else:
-            if flags.any():
+            if not physical.all():
                 raise OscPairError(
                     f"scheme {scheme} produced non-physical fidelity input "
-                    f"at t = {times[np.nonzero(flags)[0][0]]}")
+                    f"at t = {times[np.argmin(physical)]}")
             header.append(f"f2_{scheme.replace(':', '_s')}")
             cols.append(vals)
-        f_cache[scheme] = np.sqrt(np.clip(vals, 0.0, 1.0))
     _write_csv(cfg.outdir / "fidelity.csv", header, cols)
     print(f"wrote fidelity.csv ({len(header) - 1} column(s)) to {cfg.outdir}")
     return 0
@@ -343,21 +328,22 @@ def cmd_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     cfg = build_config(args)
-    runner_coeffs = SchemeRunner(cfg.params, lamb_shift=cfg.lamb_shift).coeffs
-    from .spectral import cp_threshold, dissipation_matrix
-    thr = cp_threshold(cfg.params, lamb_shift=cfg.lamb_shift)
-    print(f"cp_threshold = {_fmt(thr.bound)}")
-    for i, gam in enumerate((runner_coeffs.gamma1, runner_coeffs.gamma2), start=1):
+    coeffs = dissipator_coefficients(cfg.params, lamb_shift=cfg.lamb_shift)
+    bound = cp_bound_from_tensors(coeffs.gamma1, coeffs.gamma2)
+    print(f"cp_threshold = {_fmt(bound)}")
+    for i, gam in enumerate((coeffs.gamma1, coeffs.gamma2), start=1):
         off = abs(gam[0, 1])
         block = np.sqrt(gam[0, 0].real * gam[1, 1].real) / off if off else np.inf
         print(f"block_{i}_bound = {_fmt(block) if np.isfinite(block) else 'unconstrained'}")
-    eigs = np.linalg.eigvalsh(thr.matrix)
+    eigs = np.linalg.eigvalsh(dissipation_matrix(coeffs, bound))
     print("dissipation_matrix_eigenvalues_at_bound = "
           + " ".join(_fmt(e) for e in eigs))
     return 0
 
 
 def cmd_verify(args) -> int:
+    if args.draws < 1:
+        raise ValidationError(f"--draws must be >= 1, got {args.draws}")
     reports = verify_mod.run_suite(args.draws, args.seed, verbose=True)
     worst_m = max(r.max_moment_error for r in reports)
     worst_f = max(r.max_fidelity_error for r in reports)

@@ -242,7 +242,7 @@ def _mode_hamiltonian(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.n
     return h, omega_k, gamma_k
 
 
-def exact_trajectory(params: ModelParams, times, *, with_energies: bool = True) -> ExactRun:
+def exact_trajectory(params: ModelParams, times) -> ExactRun:
     """System moments (and energy split) of the exact model on a time grid.
 
     The model is diagonalized in mode space, h = VΛVᵀ, and the mode
@@ -275,19 +275,15 @@ def exact_trajectory(params: ModelParams, times, *, with_energies: bool = True) 
 
     occ = bose_factor(omega_k, params.beta)
     v_bath = v[2:, :]
-    rows = [v[0], v[1]]
-    if with_energies:
-        rows.append(gamma_k @ v_bath)
-        c_form = ((v_bath.T * omega_k) @ v_bath) * ((v_bath.T * occ) @ v_bath)
-        a_form = c_form.sum(axis=0)
-    rows = np.array(rows)
-    n_rows = rows.shape[0]
+    rows = np.array([v[0], v[1], gamma_k @ v_bath])
+    c_form = ((v_bath.T * omega_k) @ v_bath) * ((v_bath.T * occ) @ v_bath)
+    a_form = c_form.sum(axis=0)
 
     n_t = times.size
     aa = np.empty(n_t)
     bb = np.empty(n_t)
     ab_dag = np.empty(n_t, dtype=complex)
-    energies = np.empty((n_t, 4)) if with_energies else np.empty((n_t, 0))
+    energies = np.empty((n_t, 4))
     for lo in range(0, n_t, _BLOCK):
         sl = slice(lo, lo + _BLOCK)
         theta = np.multiply.outer(times[sl], lam)
@@ -295,20 +291,18 @@ def exact_trajectory(params: ModelParams, times, *, with_energies: bool = True) 
         d = np.stack([-2.0 * np.sin(0.5 * theta) ** 2, -np.sin(theta)])
         # rows of U − I on the bath columns, (row ∘ d) V_bathᵀ: [row, re/im, t, l]
         u = ((rows[:, None, None, :] * d).reshape(-1, lam.size) @ v_bath.T
-             ).reshape(n_rows, 2, theta.shape[0], -1)
-        (a_re, a_im), (b_re, b_im) = u[0], u[1]
+             ).reshape(3, 2, theta.shape[0], -1)
+        (a_re, a_im), (b_re, b_im), (g_re, g_im) = u
         aa[sl] = (a_re**2 + a_im**2) @ occ
         bb[sl] = (b_re**2 + b_im**2) @ occ
         # ⟨ab†⟩ = conj⟨a†b⟩ with ⟨a†b⟩ = Σ_l conj(U_Al) U_Bl n_l
         re_ab = (a_re * b_re + a_im * b_im) @ occ
         ab_dag[sl] = re_ab - 1j * ((a_re * b_im - a_im * b_re) @ occ)
-        if with_energies:
-            g_re, g_im = u[2]
-            quad = np.einsum("sij,sij->i", (d.reshape(-1, lam.size) @ c_form).reshape(d.shape), d)
-            energies[sl, 0] = params.omega0 * (aa[sl] + bb[sl])
-            energies[sl, 1] = 2.0 * params.g * re_ab
-            energies[sl, 2] = 2.0 * ((a_re * (gamma_k + g_re) + a_im * g_im) @ occ)
-            energies[sl, 3] = 2.0 * (d[0] @ a_form) + quad
+        quad = np.einsum("sij,sij->i", (d.reshape(-1, lam.size) @ c_form).reshape(d.shape), d)
+        energies[sl, 0] = params.omega0 * (aa[sl] + bb[sl])
+        energies[sl, 1] = 2.0 * params.g * re_ab
+        energies[sl, 2] = 2.0 * ((a_re * (gamma_k + g_re) + a_im * g_im) @ occ)
+        energies[sl, 3] = 2.0 * (d[0] @ a_form) + quad
     state = from_ab_basis(aa, bb, ab_dag)
     traj = Trajectory(times, state.n_plus, state.n_minus, state.cross, "exact")
     return ExactRun(traj, energies)

@@ -1,4 +1,10 @@
-"""Eigenmode covariance matrices, the λ_c positivity diagnostic and Gaussian fidelity."""
+"""λ_c positivity diagnostic, Gaussian fidelity and the a/b basis change.
+
+A zero-mean excitation-conserving two-mode Gaussian state is fixed by its
+moments (n₊, n₋, ⟨γ₋γ₊†⟩), so the diagnostics are 2×2 closed forms in them,
+evaluated elementwise on a :class:`~oscpair.moments.MomentState` or a whole
+trajectory. The 4×4 covariance serves only the cross-check of :func:`lambda_c`.
+"""
 
 from __future__ import annotations
 
@@ -25,34 +31,22 @@ VCAL = 0.5 * np.array([
 VCAL.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class EigenmodeCovariance:
-    """4×4 Hermitian covariance matrix Γ in the (γ₊, γ₊†, γ₋, γ₋†) ordering."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise DomainError("eigenmode covariance must be 4x4")
-        scale = max(1.0, np.abs(m).max())
-        if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-            raise ConsistencyError("eigenmode covariance is not Hermitian")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def eigenmode_covariance(state: MomentState) -> EigenmodeCovariance:
-    """Covariance of the zero-mean Gaussian state with the given moments:
-    diagonals 2n± + 1, off-diagonal blocks 2⟨γ₋γ₊†⟩ and conjugates."""
+def eigenmode_covariance(state: MomentState) -> np.ndarray:
+    """4×4 covariance Γ in the (γ₊, γ₊†, γ₋, γ₋†) ordering: diagonals
+    2n± + 1, off-diagonal blocks 2⟨γ₋γ₊†⟩ and conjugates."""
     c = state.cross
-    m = np.array([
+    return np.array([
         [2.0 * state.n_plus + 1.0, 0.0, np.conj(c) * 2.0, 0.0],
         [0.0, 2.0 * state.n_plus + 1.0, 0.0, 2.0 * c],
         [2.0 * c, 0.0, 2.0 * state.n_minus + 1.0, 0.0],
         [0.0, np.conj(c) * 2.0, 0.0, 2.0 * state.n_minus + 1.0],
     ], dtype=complex)
-    return EigenmodeCovariance(m)
+
+
+def _lambda_c(state):
+    """½[n₊ + n₋ − sqrt((n₊−n₋)² + 4|⟨γ₋γ₊†⟩|²)], elementwise."""
+    npl, nmi = state.n_plus, state.n_minus
+    return 0.5 * (npl + nmi - np.hypot(npl - nmi, 2.0 * np.abs(state.cross)))
 
 
 def lambda_c(state: MomentState) -> float:
@@ -62,11 +56,9 @@ def lambda_c(state: MomentState) -> float:
     ½[n₊ + n₋ − sqrt((n₊−n₋)² + 4|⟨γ₋γ₊†⟩|²)] and cross-checked against the
     eigenvalue route on every call.
     """
-    npl, nmi, c = state.n_plus, state.n_minus, state.cross
-    closed = 0.5 * (npl + nmi - math.hypot(npl - nmi, 2.0 * abs(c)))
-    gamma = eigenmode_covariance(state).matrix
-    eig = 0.5 * np.linalg.eigvalsh(gamma + 1j * XI).min()
-    scale = max(1.0, abs(npl) + abs(nmi) + abs(c))
+    closed = float(_lambda_c(state))
+    eig = 0.5 * np.linalg.eigvalsh(eigenmode_covariance(state) + 1j * XI).min()
+    scale = max(1.0, abs(state.n_plus) + abs(state.n_minus) + abs(state.cross))
     if abs(closed - eig) > 1e-8 * scale:
         raise ConsistencyError(
             f"lambda_c closed form {closed:.3e} and eigenvalue route {eig:.3e} disagree")
@@ -75,8 +67,7 @@ def lambda_c(state: MomentState) -> float:
 
 def lambda_c_trajectory(traj) -> np.ndarray:
     """λ_c along a moment trajectory (vectorized closed form, spot-checked)."""
-    npl, nmi = traj.n_plus, traj.n_minus
-    vals = 0.5 * (npl + nmi - np.hypot(npl - nmi, 2.0 * np.abs(traj.cross)))
+    vals = _lambda_c(traj)
     for i in (0, len(vals) // 2, len(vals) - 1):  # eigenvalue route sampled
         lambda_c(traj.state(i))
     return vals
@@ -95,68 +86,90 @@ def lambda_c_short_time_slope(s: float, coeffs: CoefficientSet) -> float:
     return 0.5 * ((gpp + gmm) - math.hypot(gpp - gmm, 2.0 * abs(s) * gpm))
 
 
-def _covs(g1, g2):
-    m1 = g1.matrix if isinstance(g1, EigenmodeCovariance) else np.asarray(g1, dtype=complex)
-    m2 = g2.matrix if isinstance(g2, EigenmodeCovariance) else np.asarray(g2, dtype=complex)
-    return m1, m2
+def _doubled(state):
+    """(u, v, q) = (2n₊, 2n₋, 2⟨γ₋γ₊†⟩), so that G = [[u+1, q*], [q, v+1]]."""
+    return (2.0 * np.asarray(state.n_plus), 2.0 * np.asarray(state.n_minus),
+            2.0 * np.asarray(state.cross))
 
 
-def gaussian_fidelity_sq(gamma1, gamma2) -> tuple[float, bool]:
+def _abs2(z):
+    # products only, so scalars and arrays round alike (numpy's x**2 does not)
+    return z.real * z.real + z.imag * z.imag
+
+
+def gaussian_fidelity_sq(state1, state2):
     """Squared Uhlmann fidelity of two zero-mean two-mode Gaussian states.
 
-    F² = 1/(√b + √c − sqrt((√b+√c)² − a)) with
-      a = 2⁻⁴ det(Γ₁+Γ₂),
-      b = 2⁻⁴ det(ΞΓ₁ΞΓ₂ − 1),
-      c = 2⁻⁴ det(Γ₁+iΞ) det(Γ₂+iΞ).
+    F² = 1/(√b + √c − sqrt((√b+√c)² − a)) with a = 2⁻⁴ det(Γ₁+Γ₂),
+    b = 2⁻⁴ det(ΞΓ₁ΞΓ₂ − 1), c = 2⁻⁴ det(Γ₁+iΞ) det(Γ₂+iΞ) (Marian & Marian,
+    PRA 86, 022340). In the ordering (γ₊, γ₋, γ₊†, γ₋†), Γ = G ⊕ Gᵀ with
+    G = [[p, q*], [q, m]], p = 2n₊+1, m = 2n₋+1, q = 2⟨γ₋γ₊†⟩, and
+    iΞ = I ⊕ (−I), so with D(x) = (p+x)(m+x) − |q|²
+      a = A²/16, A = (p₁+p₂)(m₁+m₂) − |q₁+q₂|²,
+      b = B²/16, B = D₁(0)D₂(0) + p₁p₂ + m₁m₂ + 2Re(q₁*q₂) + 1,
+      c = D₁(1)D₁(−1)D₂(1)D₂(−1)/16.
+    In u = p − 1, v = m − 1, B − A = D₁(−1)D₂(−1) + D₁(−1)(u₂+v₂) +
+    D₂(−1)(u₁+v₁) + 2(u₁u₂ + v₁v₂) + 4Re(q₁*q₂) has no large cancelling
+    terms; (√b+√c)² − a vanishes between pure states, and its square root
+    would magnify the roundoff of b − a taken as a difference of squares.
 
-    Returns (Re F², physical). For physical inputs every intermediate is a
+    Takes states or trajectories (elementwise) and returns (Re F², physical),
+    floats for two states. For physical inputs every intermediate is a
     non-negative real and the flag is True; values in (1, 1+1e−9] are then
     clamped to 1, and larger overshoot raises ``ConsistencyError``. States
     that violate the uncertainty relation (e.g. plain-Redfield outputs) drive
     the radicands complex, in which case the real part of the
     principal-branch value is reported, unclamped, with the flag False.
     """
-    m1, m2 = _covs(gamma1, gamma2)
-    a = np.linalg.det(m1 + m2) / 16.0
-    b = np.linalg.det(XI @ m1 @ XI @ m2 - np.eye(4)) / 16.0
-    c = np.linalg.det(m1 + 1j * XI) * np.linalg.det(m2 + 1j * XI) / 16.0
-    tol = 1e-10 * max(1.0, abs(a), abs(b), abs(c))
-    physical = (abs(a.imag) < tol and abs(b.imag) < tol and abs(c.imag) < tol
-                and b.real > -tol and c.real > -tol)
-    root = np.sqrt(complex(b)) + np.sqrt(complex(c))
-    # (√b+√c)² − a expanded so close b, a cancel exactly instead of via root²
-    inner = (b - a) + c + 2.0 * np.sqrt(complex(b) * complex(c))
-    physical = physical and inner.real > -tol
+    u1, v1, q1 = _doubled(state1)
+    u2, v2, q2 = _doubled(state2)
+    # D(−1) = uv − |q|², D(0) = D(−1) + u + v + 1, D(1) = D(−1) + 2(u + v) + 4
+    e1, e2 = u1 * v1 - _abs2(q1), u2 * v2 - _abs2(q2)
+    big_a = (u1 + u2 + 2.0) * (v1 + v2 + 2.0) - _abs2(q1 + q2)
+    b_minus_a = (e1 * e2 + (e1 * (u2 + v2) + e2 * (u1 + v1)) + 2.0 * (u1 * u2 + v1 * v2)
+                 + 4.0 * (q1.real * q2.real + q1.imag * q2.imag))
+    big_b = big_a + b_minus_a
+    a, b = big_a * big_a / 16.0, big_b * big_b / 16.0
+    c = ((e1 + 2.0 * (u1 + v1) + 4.0) * e1) * ((e2 + 2.0 * (u2 + v2) + 4.0) * e2) / 16.0
+    tol = 1e-10 * np.maximum(np.maximum(1.0, a), np.maximum(b, np.abs(c)))
+    root = np.sqrt(b) + np.sqrt(c + 0j)
+    # (√b+√c)² − a expanded, with b − a = (B − A)(B + A)/16
+    inner = b_minus_a * (big_b + big_a) / 16.0 + c + 2.0 * np.sqrt(b * c + 0j)
     # conjugate form of 1/(root − sqrt(inner)): exact identity, no cancellation
     f2 = (root + np.sqrt(inner)) / a
-    physical = physical and abs(f2.imag) < 1e-8 * max(1.0, abs(f2))
-    if not physical:
-        return float(f2.real), False
-    if f2.real > 1.0 + 1e-9:
-        raise ConsistencyError(f"squared fidelity {f2.real} exceeds 1 beyond roundoff")
-    return min(float(f2.real), 1.0), True
+    physical = ((c > -tol) & (inner.real > -tol)
+                & (np.abs(f2.imag) < 1e-8 * np.maximum(1.0, np.abs(f2))))
+    over = physical & (f2.real > 1.0 + 1e-9)
+    if over.any():
+        raise ConsistencyError(
+            f"squared fidelity {np.asarray(f2.real)[over].max()} exceeds 1 beyond roundoff")
+    re_f2 = np.where(physical, np.minimum(f2.real, 1.0), f2.real)
+    return (float(re_f2), bool(physical)) if re_f2.ndim == 0 else (re_f2, physical)
 
 
-def gaussian_fidelity(gamma1, gamma2) -> float:
+def gaussian_fidelity(state1, state2):
     """Uhlmann fidelity F ∈ [0, 1] for physical zero-mean two-mode Gaussian states.
 
-    Raises ``NonPhysicalStateError`` when either Γ + iΞ fails positive
-    semidefiniteness beyond −1e−8 or the closed formula leaves the real
-    axis; use :func:`gaussian_fidelity_sq` for the flagged real-part value.
+    Takes states or trajectories as :func:`gaussian_fidelity_sq` does. Raises
+    ``NonPhysicalStateError`` when either min eig(Γ + iΞ) = 2λ_c is below
+    −1e−8 or the closed formula leaves the real axis; use
+    :func:`gaussian_fidelity_sq` for the flagged real-part value.
     """
-    m1, m2 = _covs(gamma1, gamma2)
-    for m in (m1, m2):
-        scale = max(1.0, np.abs(m).max())
-        if np.linalg.eigvalsh(m + 1j * XI).min() < -1e-8 * scale:
+    for state in (state1, state2):
+        u, v, q = _doubled(state)
+        scale = np.maximum(np.maximum(1.0, np.abs(u + 1.0)),
+                           np.maximum(np.abs(v + 1.0), np.abs(q)))
+        if np.any(2.0 * _lambda_c(state) < -1e-8 * scale):
             raise NonPhysicalStateError(
                 "covariance violates the uncertainty relation; "
                 "use gaussian_fidelity_sq for the flagged value")
-    f2, physical = gaussian_fidelity_sq(m1, m2)
-    if not physical:
+    f2, physical = gaussian_fidelity_sq(state1, state2)
+    if not np.all(physical):
         raise NonPhysicalStateError(
             "fidelity formula left the real axis; "
             "use gaussian_fidelity_sq for the flagged value")
-    return math.sqrt(max(f2, 0.0))
+    f = np.sqrt(np.maximum(f2, 0.0))
+    return float(f) if np.ndim(f) == 0 else f
 
 
 def mixture_fidelity_lower_bound(f_loc, f_glob, mixture_rate: float, t):

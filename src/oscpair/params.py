@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
+from dataclasses import fields as dataclass_fields
 
 from .errors import ValidationError
 
@@ -47,6 +48,8 @@ class ModelParams:
     delta_t: float | str = 0.0
     mixture_rate: float | None = None
     n_omega0: InitVar[float | None] = None
+    #: whether mixture_rate was left to its default, so ``replace`` re-derives it
+    _default_rate: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self, n_omega0):
         if (self.beta is None) == (n_omega0 is None):
@@ -79,7 +82,8 @@ class ModelParams:
                 raise ValidationError(f"delta_t must be a number >= 0 or {SATURATING!r}")
         elif not self.delta_t >= 0.0:
             raise ValidationError(f"delta_t must be >= 0, got {self.delta_t}")
-        if self.mixture_rate is None:
+        object.__setattr__(self, "_default_rate", self.mixture_rate is None)
+        if self._default_rate:
             object.__setattr__(self, "mixture_rate", 0.4 * self.kappa0)
         elif not self.mixture_rate > 0.0:
             raise ValidationError(f"mixture_rate must be > 0, got {self.mixture_rate}")
@@ -104,15 +108,11 @@ class ModelParams:
 
     def replace(self, **changes) -> "ModelParams":
         """Copy with selected fields replaced (``n_omega0`` supported)."""
-        fields = {
-            "omega0": self.omega0, "g": self.g, "kappa0": self.kappa0,
-            "omega_c": self.omega_c, "alpha": self.alpha, "beta": self.beta,
-            "M": self.M, "delta_t": self.delta_t, "mixture_rate": self.mixture_rate,
-        }
+        fields = {f.name: getattr(self, f.name) for f in dataclass_fields(self) if f.init}
         if "n_omega0" in changes:
             fields.pop("beta")
-        # a mixture_rate that still sits at its default follows kappa0 around
-        if "mixture_rate" not in changes and self.mixture_rate == 0.4 * self.kappa0:
+        # a defaulted mixture_rate follows kappa0 around; an explicit one stays
+        if "mixture_rate" not in changes and self._default_rate:
             fields["mixture_rate"] = None
         fields.update(changes)
         return ModelParams(**fields)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CutoffError
 from .fock import (TruncatedState, fidelity_truncated, lindblad_propagate,
                    number_expectations, thermal_product_state)
-from .gaussian import eigenmode_covariance, gaussian_fidelity
+from .gaussian import gaussian_fidelity
 from .moments import VACUUM, MomentState, Scheme, Trajectory, propagate
 from .params import ModelParams, bose_occupation
 from .runner import resolve_scheme
@@ -106,11 +106,11 @@ def run_case(case: EquivalenceCase, *, n_times: int = 5) -> EquivalenceReport:
     moment_err, fock_states, traj = moment_deviation(scheme, case.cutoff, times)
 
     ref_state = thermal_product_state(*case.reference, case.cutoff)
-    ref_gamma = eigenmode_covariance(MomentState(*case.reference, 0j))
+    ref_moments = MomentState(*case.reference, 0j)
     fid_err = 0.0
     for i in (n_times // 2, n_times - 1):
         f_fock = fidelity_truncated(fock_states[i], ref_state)
-        f_gauss = gaussian_fidelity(eigenmode_covariance(traj.state(i)), ref_gamma)
+        f_gauss = gaussian_fidelity(traj.state(i), ref_moments)
         fid_err = max(fid_err, abs(f_fock - f_gauss), abs(f_fock**2 - f_gauss**2))
     return EquivalenceReport(case, moment_err, fid_err)
 

@@ -1,8 +1,13 @@
+import argparse
 import json
 
 import numpy as np
+import pytest
 
-from oscpair.cli import main
+from oscpair import ModelParams, ValidationError, cp_threshold
+from oscpair import cli, runner, spectral
+from oscpair.cli import build_config, main
+from oscpair.presets import PRESETS, preset
 
 
 def read_csv(path):
@@ -97,3 +102,46 @@ def test_verify_one_draw():
 def test_threshold(capsys):
     assert main(["threshold", "--preset", "fig5"]) == 0
     assert capsys.readouterr().out.startswith("cp_threshold = ")
+
+
+def test_threshold_builds_coefficients_once(capsys, monkeypatch):
+    build = spectral.dissipator_coefficients
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (cli, runner, spectral):
+        monkeypatch.setattr(module, "dissipator_coefficients", counting, raising=False)
+    assert main(["threshold", "--preset", "fig5"]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+
+    # the same lines through cp_threshold and a separate coefficient set
+    params = ModelParams(**preset("fig5")["params"])
+    thr = cp_threshold(params)
+    coeffs = build(params)
+    lines = [f"cp_threshold = {thr.bound:.17g}"]
+    for i, gam in enumerate((coeffs.gamma1, coeffs.gamma2), start=1):
+        block = np.sqrt(gam[0, 0].real * gam[1, 1].real) / abs(gam[0, 1])
+        lines.append(f"block_{i}_bound = {float(block):.17g}")
+    lines.append("dissipation_matrix_eigenvalues_at_bound = "
+                 + " ".join(f"{float(e):.17g}" for e in np.linalg.eigvalsh(thr.matrix)))
+    assert out == "\n".join(lines) + "\n"
+
+
+def test_verify_rejects_zero_draws(capsys):
+    assert main(["verify", "--draws", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: --draws must be >= 1")
+
+
+def test_presets_resolve():
+    for name in PRESETS:
+        cfg = build_config(argparse.Namespace(preset=name, set=None, grid=None))
+        assert cfg.times.size == preset(name)["grid"][2]
+    for alias, target in (("fig8", "fig8a"), ("fig9", "fig9a"), ("fig10", "fig9a"),
+                          ("fig10a", "fig9a"), ("fig10b", "fig9b")):
+        assert preset(alias) == preset(target)
+    with pytest.raises(ValidationError):
+        preset("nope")

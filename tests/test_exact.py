@@ -129,7 +129,7 @@ class TestSystemMoments:
         st = system_moments(np.eye(4))
         assert st.n_plus == 0 and st.n_minus == 0 and st.cross == 0
         # the exact trajectory starts from that vacuum state, without roundoff
-        traj = exact_trajectory(model.params, [0.0, 5.0], with_energies=False).trajectory
+        traj = exact_trajectory(model.params, [0.0, 5.0]).trajectory
         st0 = system_moments(initial_covariance(model.params))
         assert (traj.n_plus[0], traj.n_minus[0], traj.cross[0]) == (
             st0.n_plus, st0.n_minus, st0.cross)
@@ -147,7 +147,7 @@ class TestSystemMoments:
         for _ in range(50):
             st = MomentState(rng.uniform(0, 5), rng.uniform(0, 5),
                              complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-            gam = eigenmode_covariance(st).matrix
+            gam = eigenmode_covariance(st)
             minor = (VCAL @ gam @ VCAL.conj().T).real
             back = system_moments(minor)
             assert back.n_plus == pytest.approx(st.n_plus, abs=1e-12)
@@ -223,7 +223,7 @@ class TestRecurrence:
         times = np.linspace(95.0, 112.0, 18)
         runs = {}
         for m_count in (50, 400, 800):
-            run = exact_trajectory(params(M=m_count), times, with_energies=False)
+            run = exact_trajectory(params(M=m_count), times)
             runs[m_count] = np.column_stack([run.trajectory.n_plus,
                                              run.trajectory.n_minus])
         fine_gap = np.abs(runs[400] - runs[800]).max()

@@ -50,6 +50,12 @@ class TestParams:
         assert p.replace(kappa0=0.1).mixture_rate == pytest.approx(0.04)
         assert p.replace(mixture_rate=0.5).mixture_rate == 0.5
 
+    def test_explicit_mixture_rate_survives_replace(self):
+        # an explicit rate that happens to equal 0.4*kappa0 is kept, not re-derived
+        p = ModelParams(kappa0=0.04, mixture_rate=0.016, n_omega0=1)
+        assert p.replace(kappa0=0.1).mixture_rate == 0.016
+        assert p.replace(kappa0=0.1).replace(kappa0=0.2).mixture_rate == 0.016
+
 
 class TestBoseFactor:
     def test_value_ten(self):
