@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, OscPairError, ValidationError
+from .errors import (DomainError, EstimationError, OscPairError, SteadyStateError,
+                     ValidationError)
 from .gaussian import (gaussian_fidelity_sq, lambda_c_trajectory, mixture_fidelity_lower_bound,
                        to_ab_basis)
 from .moments import MomentState, Trajectory, steady_state
@@ -192,12 +193,21 @@ def _run_oracle_spot_check(cfg: RunConfig, coeffs: CoefficientSet) -> dict:
     return {"schemes": case_schemes, "cutoff": d, "max_moment_deviation": worst}
 
 
+def _steady_entry(equation) -> dict:
+    try:
+        return {"steady_state": _state_summary(steady_state(equation.generator()))}
+    except SteadyStateError as exc:  # e.g. g = 0, where mode B is dark
+        return {"steady_state": None, "steady_state_error": str(exc)}
+
+
 def cmd_run(args) -> int:
     cfg = build_config(args)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     runner = SchemeRunner(cfg.params, lamb_shift=cfg.lamb_shift)
     times = cfg.times
 
+    # everything is computed before the first file is written, so a failing
+    # run leaves no partial output
+    tables: dict = {}
     summary_schemes: dict = {}
     for scheme in cfg.schemes:
         traj = runner.trajectory(scheme, times)
@@ -206,16 +216,15 @@ def cmd_run(args) -> int:
             energies = runner.exact_run(times).energies
             header += ["e_s0", "e_sg", "e_1", "e_e"]
             cols += [energies[:, j] for j in range(4)]
-        _write_csv(cfg.outdir / _scheme_filename(scheme), header, cols)
+        tables[_scheme_filename(scheme)] = (header, cols)
 
         if scheme == "exact":  # no closed-form fixed point, report the end of the run
             entry = {"final_state": _state_summary(traj.state(len(traj) - 1))}
         elif scheme == "mixture":  # relaxes to the global fixed point
-            global_eq = resolve_scheme("global", runner.coeffs)
-            entry = {"steady_state": _state_summary(steady_state(global_eq.generator()))}
+            entry = _steady_entry(resolve_scheme("global", runner.coeffs))
         else:
             equation = resolve_scheme(scheme, runner.coeffs)
-            entry = {"steady_state": _state_summary(steady_state(equation.generator()))}
+            entry = _steady_entry(equation)
             if equation.filter_s is not None:
                 entry["filter_s"] = equation.filter_s
         summary_schemes[scheme] = entry
@@ -237,6 +246,10 @@ def cmd_run(args) -> int:
     }
     if cfg.oracle_verify:
         summary["oracle_verify"] = _run_oracle_spot_check(cfg, runner.coeffs)
+
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    for name, (header, cols) in tables.items():
+        _write_csv(cfg.outdir / name, header, cols)
     _write_json(cfg.outdir / "summary.json", summary)
     print(f"wrote {len(cfg.schemes)} scheme file(s) + summary.json to {cfg.outdir}")
     return 0
@@ -260,7 +273,6 @@ def cmd_fidelity(args) -> int:
     cfg = build_config(args)
     if cfg.reference == "mixture":
         raise ValidationError("the mixture state is not Gaussian; pick another reference")
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     runner = SchemeRunner(cfg.params, lamb_shift=cfg.lamb_shift)
     times = cfg.times
 
@@ -288,6 +300,7 @@ def cmd_fidelity(args) -> int:
                     f"at t = {times[np.argmin(physical)]}")
             header.append(f"f2_{scheme.replace(':', '_s')}")
             cols.append(vals)
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(cfg.outdir / "fidelity.csv", header, cols)
     print(f"wrote fidelity.csv ({len(header) - 1} column(s)) to {cfg.outdir}")
     return 0

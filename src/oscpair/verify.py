@@ -1,9 +1,13 @@
 """Oracle equivalence checks: Fock-space propagation against the Gaussian pipeline.
 
-Used by the ``verify`` CLI subcommand and by ``run --oracle-verify``. Each
-case draws model parameters in the small-occupation regime the truncated
-oracle can certify, propagates one scheme both ways, and compares moment
-trajectories plus Uhlmann fidelities against a thermal reference state.
+Used by the ``verify`` CLI subcommand, by ``run --oracle-verify`` and by the
+test suite, which runs the subcommand's default draws. Each case draws model
+parameters in the small-occupation regime the truncated oracle can certify,
+chooses the per-mode cutoff d from a thermal tail bound, propagates one
+scheme both ways, and compares moment trajectories plus Uhlmann fidelities
+against a thermal reference state. The oracle works on the 2d−1
+total-excitation blocks of at most d states each (see :mod:`oscpair.fock`),
+so its cost grows as d⁴ rather than as the d⁶ of dense d² × d² products.
 """
 
 from __future__ import annotations

@@ -145,3 +145,51 @@ def test_presets_resolve():
         assert preset(alias) == preset(target)
     with pytest.raises(ValidationError):
         preset("nope")
+
+
+_EDGE_GRID = ["--grid", "0:300:151:lin"]
+
+
+@pytest.mark.parametrize("override", ["g=1e-6", "g=0.98", "alpha=0.1", "M=1", "M=3",
+                                      "n_omega0=1e-12", "n_omega0=1e4"])
+@pytest.mark.parametrize("command", [("run", "fig5"), ("fidelity", "fig6")])
+def test_edge_parameters_run(tmp_path, command, override):
+    sub, name = command
+    argv = [sub, "--preset", name, "--set", override, *_EDGE_GRID, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for path in tmp_path.iterdir():
+        if path.suffix == ".csv":
+            _, rows = read_csv(path)
+            assert rows.shape[0] == 151 and np.all(np.isfinite(rows))
+
+
+@pytest.mark.parametrize("command", [("run", "fig5"), ("fidelity", "fig6")])
+def test_ohmic_exponent_zero_exits_1(tmp_path, capsys, command):
+    sub, name = command
+    out = tmp_path / "out"
+    argv = [sub, "--preset", name, "--set", "alpha=0", *_EDGE_GRID, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_dark_mode_run_records_null_steady_states(tmp_path):
+    # at g = 0 mode B never sees the bath: no unique fixed point for most schemes
+    argv = ["run", "--preset", "fig5", "--set", "g=0", *_EDGE_GRID, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted([f"{s}.csv" for s in PRESETS["fig5"]["schemes"]] + ["summary.json"])
+    schemes = json.loads((tmp_path / "summary.json").read_text())["schemes"]
+    for name in ("redfield", "cp_redfield", "local"):
+        assert schemes[name]["steady_state"] is None
+        assert schemes[name]["steady_state_error"]
+    assert "final_state" in schemes["exact"]
+
+
+def test_failed_run_writes_no_files(tmp_path, capsys):
+    # the oracle spot check rejects a hot bath only after every scheme has run
+    out = tmp_path / "out"
+    argv = ["run", "--preset", "fig5", "--oracle-verify", "on", *_EDGE_GRID, "--out", str(out)]
+    assert main(argv) == 1
+    assert "oracle-verify needs small occupations" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
-from oscpair import (ModelParams, VACUUM, cp_threshold, dissipator_coefficients,
-                     lindblad_propagate, number_expectations, propagate,
+from oscpair import (DomainError, ModelParams, MomentState, TruncatedState, VACUUM,
+                     boundary_population, cp_threshold, dissipator_coefficients,
+                     fidelity_truncated, lindblad_propagate, number_expectations, propagate,
                      thermal_product_state)
 from oscpair.runner import resolve_scheme
-from oscpair.verify import EquivalenceCase, run_case
+from oscpair.verify import EquivalenceCase, run_case, run_suite
 
 from conftest import FIG4
+from oscpair.fock import _layout
+
+from dense_fock import (dense_fidelity, dense_gaussian_state, dense_moments, dense_propagate,
+                        from_dense, to_dense)
 
 #: warm enough to populate both modes, cold enough for cutoff d = 10 up to t = 10
 WARM = {**FIG4, "n_omega0": 0.5}
+D = 10
+TIMES = np.linspace(0.0, 10.0, 6)
 
 
 @pytest.fixture(scope="module")
@@ -23,22 +30,92 @@ def coeffs(params):
     return dissipator_coefficients(params)
 
 
-@pytest.mark.parametrize("kind", ["local", "global", "cg_redfield"])
-def test_oracle_matches_moment_route(params, coeffs, kind):
-    """lindblad_propagate and propagate read the same Scheme and must agree."""
-    name = kind
-    if kind == "cg_redfield":
+@pytest.fixture(scope="module", params=["local", "global", "cg_redfield"])
+def routes(request, params, coeffs):
+    """One scheme propagated from the vacuum by the blocked oracle and the dense reference."""
+    name = request.param
+    if name == "cg_redfield":
         name = f"cg_redfield:{0.5 * cp_threshold(params).bound!r}"
     scheme = resolve_scheme(name, coeffs)
-    times = np.linspace(0.0, 10.0, 6)
-    states = lindblad_propagate(scheme, thermal_product_state(0.0, 0.0, 10), times)
-    traj = propagate(scheme.generator(), VACUUM, times)
+    vacuum = thermal_product_state(0.0, 0.0, D)
+    blocked = lindblad_propagate(scheme, vacuum, TIMES)
+    dense = dense_propagate(scheme, to_dense(vacuum), D, TIMES)
+    return scheme, blocked, dense
+
+
+def test_oracle_matches_moment_route(routes):
+    """lindblad_propagate and propagate read the same Scheme and must agree."""
+    scheme, states, _ = routes
+    traj = propagate(scheme.generator(), VACUUM, TIMES)
     assert traj.n_plus[-1] > 0.01 and traj.n_minus[-1] > 0.01
     for i, state in enumerate(states):
         mom = number_expectations(state)
         assert abs(mom.n_plus - traj.n_plus[i]) <= 1e-9
         assert abs(mom.n_minus - traj.n_minus[i]) <= 1e-9
         assert abs(mom.cross - traj.cross[i]) <= 1e-9
+
+
+def test_blocked_matches_dense_reference(routes):
+    _, blocked, dense = routes
+    for state, rho in zip(blocked, dense):
+        assert np.abs(to_dense(state) - rho).max() <= 1e-9
+        mom, ref = number_expectations(state), dense_moments(rho, D)
+        assert abs(mom.n_plus - ref.n_plus) <= 1e-10
+        assert abs(mom.n_minus - ref.n_minus) <= 1e-10
+        assert abs(mom.cross - ref.cross) <= 1e-10
+        # the dense route itself keeps no weight between different excitation numbers
+        lay = _layout(D)
+        assert np.abs(rho[lay.block[:, None] != lay.block[None, :]]).max() <= 1e-12
+
+
+def test_padding_stays_exactly_zero(routes):
+    _, blocked, _ = routes
+    for state in blocked:
+        assert np.array_equal(from_dense(to_dense(state), D).blocks, state.blocks)
+
+
+#: eigenmode occupations up to 0.1, which cutoff 8 certifies; the last is pure in one mode
+SMALL = [MomentState(0.0, 0.0, 0j), MomentState(0.09, 0.05, 0j),
+         MomentState(0.06, 0.03, 0.02 - 0.015j), MomentState(0.05, 0.05, 0.05)]
+
+
+@pytest.mark.parametrize("d", [8, 10])
+@pytest.mark.parametrize("moments", SMALL)
+def test_gaussian_constructor_matches_dense(d, moments):
+    state = thermal_product_state(moments.n_plus, moments.n_minus, d, moments.cross)
+    rho = dense_gaussian_state(moments, d)
+    assert np.abs(to_dense(state) - rho).max() <= 1e-12
+    mom, ref = number_expectations(state), dense_moments(rho, d)
+    assert abs(mom.n_plus - ref.n_plus) <= 1e-12 and abs(mom.cross - ref.cross) <= 1e-12
+    pops = np.real(np.diag(rho)).reshape(d, d)
+    edge = pops[d - 1, :].sum() + pops[:, d - 1].sum() - pops[d - 1, d - 1]
+    assert boundary_population(state) == pytest.approx(edge, abs=1e-15)
+
+
+def test_fidelity_matches_dense():
+    d = 10
+    pairs = [(SMALL[2], MomentState(0.08, 0.12, -0.03 + 0.01j)),
+             (SMALL[0], MomentState(0.12, 0.06, 0j)), (SMALL[3], SMALL[2]), (SMALL[1], SMALL[1])]
+    for s1, s2 in pairs:
+        f = fidelity_truncated(thermal_product_state(s1.n_plus, s1.n_minus, d, s1.cross),
+                               thermal_product_state(s2.n_plus, s2.n_minus, d, s2.cross))
+        ref = dense_fidelity(dense_gaussian_state(s1, d), dense_gaussian_state(s2, d))
+        assert abs(f - ref) <= 1e-12
+
+
+def test_truncated_state_rejects_padding_and_bad_shape():
+    state = thermal_product_state(0.0, 0.0, 4)
+    blocks = np.array(state.blocks)
+    blocks[0, 1, 1] = 1e-30  # block 0 holds one state: slot 1 is padding
+    with pytest.raises(DomainError):
+        TruncatedState(blocks, 4)
+    with pytest.raises(DomainError):
+        TruncatedState(np.eye(16) / 16, 4)
+
+
+def test_constructor_rejects_cross_beyond_uncertainty():
+    with pytest.raises(DomainError):
+        thermal_product_state(0.05, 0.05, 8, 0.06)
 
 
 def test_run_case_takes_numpy_filter_value(params):
@@ -48,3 +125,12 @@ def test_run_case_takes_numpy_filter_value(params):
     report = run_case(case)
     assert report.passed
     assert report.max_moment_error <= 1e-9
+
+
+def test_default_verify_suite_passes():
+    """The draws of ``oscpair verify`` at its default seed: every scheme, d = 15-17."""
+    reports = run_suite(8, 20260809)
+    assert {r.case.scheme for r in reports} == {"local", "global", "cg_redfield"}
+    assert {r.case.cutoff for r in reports} <= set(range(15, 18))
+    for report in reports:
+        assert report.passed, report

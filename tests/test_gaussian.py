@@ -12,7 +12,6 @@ from oscpair import (ConsistencyError, DomainError, MomentState, NonPhysicalStat
                      gaussian_fidelity_sq, lambda_c, lambda_c_short_time_slope,
                      lambda_c_trajectory, mixture_fidelity_lower_bound, propagate,
                      cg_redfield_generator, thermal_product_state, to_ab_basis)
-from oscpair.fock import TruncatedState, _ops
 from oscpair.gaussian import VCAL, XI
 
 from conftest import FIG4
@@ -40,6 +39,9 @@ def reference_fidelity_sq(state1, state2) -> Reference:
     a = 2⁻⁴ det(Γ₁+Γ₂), b = 2⁻⁴ det(ΞΓ₁ΞΓ₂ − 1), c = 2⁻⁴ det(Γ₁+iΞ) det(Γ₂+iΞ),
     F² = (√b + √c + sqrt((√b+√c)² − a))/a on the principal branch.
 
+    Each input must also pass min eig(Γ + iΞ) ≥ −1e−8 max(1, |Γ|), the
+    uncertainty relation, for the pair to count as physical.
+
     Independent of the 2×2 closed form in ``gaussian_fidelity_sq``. An error
     δ of the determinants moves sqrt(inner), inner = (√b+√c)² − a, by up to
     sqrt(|inner| + δ) − sqrt(|inner|): that is √δ where inner vanishes,
@@ -59,6 +61,9 @@ def reference_fidelity_sq(state1, state2) -> Reference:
         physical = physical and inner.real > -tol
         f2 = (np.sqrt(complex(b)) + np.sqrt(complex(c)) + np.sqrt(inner)) / a
         physical = physical and abs(f2.imag) < 1e-8 * max(1.0, np.abs(f2))
+        physical = physical and all(
+            np.linalg.eigvalsh(m + 1j * XI).min() >= -1e-8 * max(1.0, np.abs(m).max())
+            for m in (m1, m2))
         delta = 1e-14 * scale
         slack = (1e-12 * max(1.0, np.abs(f2))
                  + (np.sqrt(np.abs(inner) + delta) - np.sqrt(np.abs(inner))) / np.abs(a))
@@ -89,31 +94,6 @@ any_states = st_.one_of(physical_states, nonphysical_states)
 def _thermal_fidelity_sq(n, m):
     """F² of single-mode thermal states with occupations n and m."""
     return 1.0 / (math.sqrt((n + 1.0) * (m + 1.0)) - math.sqrt(n * m)) ** 2
-
-
-def gaussian_fock_state(state: MomentState, d: int) -> TruncatedState:
-    """Zero-mean excitation-conserving Gaussian state on the truncated space.
-
-    Built as exp(−Σ B_ij γ_i†γ_j)/Z where B reproduces the mode matrix
-    [[n₊, c], [c*, n₋]]; independent of the covariance-formula machinery.
-    """
-    mode = np.array([[state.n_plus, state.cross],
-                     [np.conj(state.cross), state.n_minus]])
-    nu, u = np.linalg.eigh(mode)
-    if nu.min() < 0:
-        raise ValueError("not a physical moment triple")
-    beta_nu = np.array([math.log1p(1.0 / v) if v > 1e-14 else 1e4 for v in nu])
-    b_form = u @ np.diag(beta_nu) @ u.conj().T
-    gp, gm = _ops(d)["g"]
-    gams = (gp, gm)
-    exponent = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            exponent -= b_form[i, j] * gams[i].conj().T @ gams[j]
-    evals, evecs = np.linalg.eigh(exponent)
-    weights = np.exp(evals - evals.max())
-    rho = (evecs * weights) @ evecs.conj().T
-    return TruncatedState(rho / np.trace(rho).real, d)
 
 
 class TestEigenmodeCovariance:
@@ -148,7 +128,7 @@ class TestLambdaC:
             gam = eigenmode_covariance(st)
             eig = 0.5 * np.linalg.eigvalsh(gam + 1j * XI).min()
             assert abs(closed - eig) <= 1e-10 * max(1.0, n1 + n2 + abs(c))
-            lambda_c(st)  # the built-in cross-check must stay silent
+            assert abs(lambda_c(st) - eig) <= 1e-10 * max(1.0, n1 + n2 + abs(c))
 
     def test_redfield_goes_negative(self, fig4_runner):
         traj = fig4_runner.trajectory("redfield", np.linspace(0.0, 5.0, 2001))
@@ -222,13 +202,14 @@ class TestGaussianFidelity:
                 gaussian_fidelity(s2, s1), abs=1e-12)
 
     def test_random_pairs_against_fock_oracle(self, rng):
-        # cutoff 40 certifies occupations up to ~1.5 under the 1e-8 tail rule
+        # cutoff 40 certifies eigenmode occupations up to ~1.5 under the 1e-8
+        # tail rule; n± <= 0.7 with |cross| <= 0.95 sqrt(n₊n₋) keeps them <= 1.37
         d = 40
         for _ in range(2):
-            s1 = random_physical_state(rng, n_max=1.4)
-            s2 = random_physical_state(rng, n_max=1.4)
-            f_fock = fidelity_truncated(gaussian_fock_state(s1, d),
-                                        gaussian_fock_state(s2, d))
+            s1 = random_physical_state(rng, n_max=0.7)
+            s2 = random_physical_state(rng, n_max=0.7)
+            f_fock = fidelity_truncated(thermal_product_state(s1.n_plus, s1.n_minus, d, s1.cross),
+                                        thermal_product_state(s2.n_plus, s2.n_minus, d, s2.cross))
             f_gauss = gaussian_fidelity(s1, s2)
             assert abs(f_fock**2 - f_gauss**2) <= 1e-4
 
@@ -317,6 +298,22 @@ class TestFidelityProperties:
         assert physical == ref.physical
         assert abs(f2 - (min(ref.f2.real, 1.0) if ref.physical else ref.f2.real)) <= ref.slack
 
+    @_PROPERTY
+    @given(_occupation, _occupation, _phase, nonphysical_states)
+    def test_pure_against_nonphysical_is_flagged(self, n1, n2, phase, bad):
+        # |cross|² = n₊n₋ makes the state pure: D(−1) = 0 and so c = 0; the
+        # reference is undecided there, so only the flags are compared
+        pure = _state(n1, n2, 1.0, phase)
+        for pair in ((pure, bad), (bad, pure)):
+            f2, physical = gaussian_fidelity_sq(*pair)
+            assert not physical and np.isfinite(f2)
+            assert not reference_fidelity_sq(*pair).physical
+
+    def test_vacuum_against_nonphysical_cross(self):
+        f2, physical = gaussian_fidelity_sq(VACUUM, MomentState(0.0, 0.0, 1.12))
+        assert not physical
+        assert f2 == pytest.approx(3.93, abs=5e-3)  # unclamped, no ConsistencyError
+
     @settings(_PROPERTY, max_examples=100)
     @given(st_.lists(st_.tuples(any_states, any_states), min_size=1, max_size=8))
     def test_arrays_match_scalars_pointwise(self, pairs):
@@ -325,22 +322,15 @@ class TestFidelityProperties:
                                np.array([s.n_minus for s in states]),
                                np.array([s.cross for s in states]))
 
-        def scalar(s1, s2):
-            try:
-                return gaussian_fidelity_sq(s1, s2)
-            except ConsistencyError:  # a pure state against a non-physical one
-                return None
-
         # det(Γ₁+Γ₂) = 0 makes F² infinite; keep clear of it
         assume(all(np.abs(reference_fidelity_sq(s1, other).f2) < 1e6
-                   and scalar(s1, other) is not None
                    for s1, s2 in pairs for other in (s2, pairs[0][1])))
         first = stack([p[0] for p in pairs])
         vals, physical = gaussian_fidelity_sq(first, stack([p[1] for p in pairs]))
         against_one, _ = gaussian_fidelity_sq(first, pairs[0][1])
         for i, (s1, s2) in enumerate(pairs):
-            assert (vals[i], physical[i]) == scalar(s1, s2)
-            assert against_one[i] == scalar(s1, pairs[0][1])[0]
+            assert (vals[i], physical[i]) == gaussian_fidelity_sq(s1, s2)
+            assert against_one[i] == gaussian_fidelity_sq(s1, pairs[0][1])[0]
 
 
 class TestMixtureBound:
