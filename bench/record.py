@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import statistics
@@ -134,18 +135,28 @@ def _max_delta(a, b) -> float | None:
     return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
 
 
-def _tree(src: Path) -> dict:
-    from perfbench.provenance import _git_commit
-
-    root = src.resolve().parent
-    dirty = None
+def _git(root: Path, *args: str) -> str | None:
+    """Output of a git command in ``root``; None where ``root`` is no checkout."""
+    if not (root / ".git").exists():
+        return None
     try:
-        dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                                    cwd=root, capture_output=True, text=True,
-                                    check=True).stdout.strip())
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                              check=True).stdout
     except (OSError, subprocess.CalledProcessError):
-        pass
-    return {"git_commit": _git_commit(root), "uncommitted_changes": dirty}
+        return None
+
+
+def _tree(src: Path) -> dict:
+    """The commit of the checkout that holds ``src``, and a hash of any
+    uncommitted changes to its tracked files, so the record names the code it timed."""
+    root = src.resolve().parent
+    head = _git(root, "rev-parse", "HEAD")
+    diff = _git(root, "diff", "HEAD")
+    tree = {"git_commit": head.strip() if head else None,
+            "uncommitted_changes": None if diff is None else bool(diff)}
+    if diff:
+        tree["uncommitted_diff_sha256"] = hashlib.sha256(diff.encode()).hexdigest()
+    return tree
 
 
 def main(argv=None) -> int:

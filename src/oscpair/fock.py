@@ -39,10 +39,9 @@ THERMAL_TAIL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class _Layout:
-    """Where each basis state |n_a, n_b⟩ of cutoff d sits in the block stack."""
+    """The block stack of cutoff d: state |n_a, n_b⟩ sits in block N = n_a + n_b
+    at slot n_a − max(0, N−d+1)."""
 
-    block: np.ndarray   # (d²,) its block N = n_a + n_b, basis ordered as n_a·d + n_b
-    slot: np.ndarray    # (d²,) its position n_a − max(0, N−d+1) inside the block
     mask: np.ndarray    # (2d−1, d, d) True on stored entries, False on padding
     edge: np.ndarray    # (2d−1, d) True on the slots with n_a or n_b at d−1
     lower: np.ndarray   # (2, 2d−1, d, d): lower[σ, N] is γ_σ from block N into block N−1
@@ -65,8 +64,8 @@ def _layout(d: int) -> _Layout:
         src = block[ok]
         ladder[mode, src, n_a[ok] - shift - first[src - 1], slot[ok]] = np.sqrt(n[ok])
     lower = np.stack([ladder[0] + ladder[1], ladder[0] - ladder[1]]) / math.sqrt(2.0)
-    layout = _Layout(block, slot, stored[:, :, None] & stored[:, None, :], edge, lower)
-    for arr in (layout.block, layout.slot, layout.mask, layout.edge, layout.lower):
+    layout = _Layout(stored[:, :, None] & stored[:, None, :], edge, lower)
+    for arr in (layout.mask, layout.edge, layout.lower):
         arr.setflags(write=False)
     return layout
 
@@ -158,9 +157,9 @@ def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times, *,
                        rtol: float = 1e-10, atol: float = 1e-12) -> list[TruncatedState]:
     """Integrate the operator-form master equation, returning Schrödinger-picture states.
 
-    Uses an adaptive explicit integrator at tolerance 1e−10 and monitors the
-    population of the edge Fock level at every output time, raising
-    ``CutoffError`` above 1e−6.
+    Uses an adaptive explicit integrator at tolerance 1e−10, stepping onto
+    every output time, and monitors the population of the edge Fock level at
+    every output time, raising ``CutoffError`` above 1e−6.
 
     Each right-hand side is a few batched products on the block stack: the
     drift acts within block N, the gain terms u·γ†ργ read block N−1 and the
@@ -201,16 +200,25 @@ def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times, *,
         out[:-1] += (low_c @ loss.reshape(low_c.shape)).sum(axis=0)
         return out.ravel()
 
-    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.blocks.ravel().astype(complex),
-                    t_eval=times, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise CutoffError(f"master-equation integration failed: {sol.message}")
+    # each output time is a step end: DOP853's dense-output interpolant between
+    # steps is not error-controlled. The next interval starts from the last
+    # untruncated step size instead of a fresh initial-step estimate.
+    ys = [rho0.blocks.ravel().astype(complex)]
+    step = None
+    for t0, t1 in zip(times[:-1], times[1:]):
+        sol = solve_ivp(rhs, (t0, t1), ys[-1], method="DOP853", rtol=rtol, atol=atol,
+                        first_step=None if step is None else min(step, t1 - t0))
+        if not sol.success:
+            raise CutoffError(f"master-equation integration failed: {sol.message}")
+        ys.append(sol.y[:, -1])
+        steps = np.diff(sol.t)
+        step = steps[-2] if steps.size > 1 else steps[-1]
 
     h_s = (omegas[:, None, None, None] * (up @ low)).sum(axis=0)
     evals, evecs = np.linalg.eigh(h_s)
     out = []
-    for i, t in enumerate(times):
-        rho = sol.y[:, i].reshape(shape)
+    for t, y in zip(times, ys):
+        rho = y.reshape(shape)
         if t != 0.0:
             rot = (evecs * np.exp(-1j * evals * t)[:, None, :]) @ _dag(evecs)
             rho = rot @ rho @ _dag(rot)

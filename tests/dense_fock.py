@@ -16,7 +16,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from oscpair import MomentState, Scheme, TruncatedState
-from oscpair.fock import _layout
 
 
 @lru_cache(maxsize=8)
@@ -33,25 +32,31 @@ def dense_ops(d: int) -> tuple[np.ndarray, np.ndarray]:
     return gp, gm
 
 
+def block_slots(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block N = n_a + n_b and slot n_a − max(0, N−d+1) of each dense basis state."""
+    n_a, n_b = np.divmod(np.arange(d * d), d)
+    block = n_a + n_b
+    return block, n_a - np.maximum(0, block - d + 1)
+
+
 def to_dense(state: TruncatedState) -> np.ndarray:
     """The d² × d² matrix of a block-stored state."""
-    lay = _layout(state.cutoff)
-    same = lay.block[:, None] == lay.block[None, :]
+    block, slot = block_slots(state.cutoff)
     rho = np.zeros((state.cutoff ** 2,) * 2, dtype=complex)
-    rows, cols = np.nonzero(same)
-    rho[rows, cols] = state.blocks[lay.block[rows], lay.slot[rows], lay.slot[cols]]
+    rows, cols = np.nonzero(block[:, None] == block[None, :])
+    rho[rows, cols] = state.blocks[block[rows], slot[rows], slot[cols]]
     return rho
 
 
 def from_dense(rho: np.ndarray, d: int) -> TruncatedState:
     """Block-store a d² × d² matrix; raises if it couples different excitation numbers."""
-    lay = _layout(d)
-    same = lay.block[:, None] == lay.block[None, :]
+    block, slot = block_slots(d)
+    same = block[:, None] == block[None, :]
     if np.any(rho[~same]):
         raise ValueError("matrix does not conserve the total excitation")
     blocks = np.zeros((2 * d - 1, d, d), dtype=complex)
     rows, cols = np.nonzero(same)
-    blocks[lay.block[rows], lay.slot[rows], lay.slot[cols]] = rho[rows, cols]
+    blocks[block[rows], slot[rows], slot[cols]] = rho[rows, cols]
     return TruncatedState(blocks, d)
 
 

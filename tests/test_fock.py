@@ -9,10 +9,9 @@ from oscpair.runner import resolve_scheme
 from oscpair.verify import EquivalenceCase, run_case, run_suite
 
 from conftest import FIG4
-from oscpair.fock import _layout
 
-from dense_fock import (dense_fidelity, dense_gaussian_state, dense_moments, dense_propagate,
-                        from_dense, to_dense)
+from dense_fock import (block_slots, dense_fidelity, dense_gaussian_state, dense_moments,
+                        dense_propagate, from_dense, to_dense)
 
 #: warm enough to populate both modes, cold enough for cutoff d = 10 up to t = 10
 WARM = {**FIG4, "n_omega0": 0.5}
@@ -64,8 +63,8 @@ def test_blocked_matches_dense_reference(routes):
         assert abs(mom.n_minus - ref.n_minus) <= 1e-10
         assert abs(mom.cross - ref.cross) <= 1e-10
         # the dense route itself keeps no weight between different excitation numbers
-        lay = _layout(D)
-        assert np.abs(rho[lay.block[:, None] != lay.block[None, :]]).max() <= 1e-12
+        block, _ = block_slots(D)
+        assert np.abs(rho[block[:, None] != block[None, :]]).max() <= 1e-12
 
 
 def test_padding_stays_exactly_zero(routes):

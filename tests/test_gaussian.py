@@ -202,12 +202,12 @@ class TestGaussianFidelity:
                 gaussian_fidelity(s2, s1), abs=1e-12)
 
     def test_random_pairs_against_fock_oracle(self, rng):
-        # cutoff 40 certifies eigenmode occupations up to ~1.5 under the 1e-8
-        # tail rule; n± <= 0.7 with |cross| <= 0.95 sqrt(n₊n₋) keeps them <= 1.37
-        d = 40
+        # n± <= 1.4 with |cross| <= 0.95 sqrt(n₊n₋) puts the eigenmode occupations
+        # up to 2.73, which cutoff 62 certifies under the 1e-8 tail rule
+        d = 62
         for _ in range(2):
-            s1 = random_physical_state(rng, n_max=0.7)
-            s2 = random_physical_state(rng, n_max=0.7)
+            s1 = random_physical_state(rng, n_max=1.4)
+            s2 = random_physical_state(rng, n_max=1.4)
             f_fock = fidelity_truncated(thermal_product_state(s1.n_plus, s1.n_minus, d, s1.cross),
                                         thermal_product_state(s2.n_plus, s2.n_minus, d, s2.cross))
             f_gauss = gaussian_fidelity(s1, s2)
