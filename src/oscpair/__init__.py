@@ -9,19 +9,12 @@ diagnostics, Gaussian fidelities and a truncated-Fock-space oracle.
 from .errors import (ConsistencyError, CutoffError, DomainError, EstimationError,
                      NonPhysicalStateError, OscPairError, PropagationError,
                      SteadyStateError, ValidationError)
-from .exact import (EnergyComponents, ExactRun, FullCovariance, FullModel,
-                    build_full_model, energy_components, exact_trajectory,
-                    initial_covariance, physicality_min_eigenvalue, propagate_exact,
-                    symplectic_spectrum, system_moments)
-from .gaussian import (ABMoments, VCAL, XI, eigenmode_covariance, from_ab_basis,
-                       gaussian_fidelity, gaussian_fidelity_sq, lambda_c,
-                       lambda_c_short_time_slope, lambda_c_trajectory,
-                       mixture_fidelity_lower_bound, to_ab_basis)
+from .exact import ExactRun, exact_trajectory
+from .gaussian import (ABMoments, from_ab_basis, gaussian_fidelity, gaussian_fidelity_sq,
+                       lambda_c_trajectory, mixture_fidelity_lower_bound, to_ab_basis)
 from .fock import (TruncatedState, boundary_population, fidelity_truncated,
                    lindblad_propagate, number_expectations, thermal_product_state)
 from .moments import (AffineGenerator, MomentState, Scheme, Trajectory, VACUUM,
-                      asymptotic_gap_first_order, cg_redfield_generator,
-                      global_closed_form, local_closed_form, local_generator,
                       mixture_moments, propagate, steady_state)
 from .params import SATURATING, ModelParams
 from .runner import SchemeRunner, time_grid

@@ -82,8 +82,6 @@ def _parse_set(entries: list[str]) -> dict:
                         f"field delta_t: number or {SATURATING!r}, got {value!r}") from exc
         elif key == "schemes":
             out[key] = [s.strip() for s in value.split(",") if s.strip()]
-        elif key == "reference":
-            out[key] = value
         else:
             raise ValidationError(f"unknown --set field {key!r}")
     return out
@@ -106,7 +104,6 @@ def build_config(args) -> RunConfig:
         base = preset(args.preset)
     overrides = _parse_set(args.set or [])
     schemes = overrides.pop("schemes", base["schemes"])
-    reference = overrides.pop("reference", base.get("reference", "exact"))
     param_fields = dict(base["params"])
     # a temperature override replaces whichever convention the preset used
     if "beta" in overrides:
@@ -124,7 +121,7 @@ def build_config(args) -> RunConfig:
         schemes=list(schemes),
         grid=tuple(grid),
         lamb_shift=lamb,
-        reference=getattr(args, "reference", None) or reference,
+        reference=getattr(args, "reference", None) or base["reference"],
         oracle_verify=getattr(args, "oracle_verify", "off") == "on",
         outdir=Path(getattr(args, "out", None) or "."),
     )

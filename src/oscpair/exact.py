@@ -9,12 +9,12 @@ components need. Every time point is independent (no stepping error), and
 the propagator is written as U(t) = I + V diag(expm1(−iλt)) Vᵀ, so the
 t = 0 output is the initial state exactly.
 
-The phase-space route on the 2M+4 canonical coordinates r = (x_A, p_A,
-x_B, p_B, x_1, p_1, …) is kept as an independent reference for the tests:
-:func:`build_full_model` diagonalizes the Hermitian matrix 𝓜 = iΩℋ, and
-covariances evolve by Σ(t) = U(t) Σ(0) U(t)† with the same expm1 form of U
-(:func:`propagator`, :func:`propagate_exact`), read out by
-:func:`system_moments` and :func:`energy_components`.
+:func:`build_full_model` assembles the same model on the 2M+4 canonical
+coordinates and diagonalizes 𝓜 = iΩℋ. No output of the program goes through
+it; it stays here because the benchmark's tracer (``perfbench/tracing.py``)
+wraps it by name. The phase-space covariance route built on it, the
+independent reference that the tests compare :func:`exact_trajectory`
+against, lives in ``tests/phase_space.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, PropagationError
-from .gaussian import VCAL, from_ab_basis
-from .moments import MomentState, Trajectory
+from .gaussian import from_ab_basis
+from .moments import Trajectory
 from .params import ModelParams
 from .spectral import bath_modes, bose_factor
 
@@ -48,21 +48,6 @@ class FullModel:
     @property
     def size(self) -> int:
         return self.hmat.shape[0]
-
-
-@dataclass(frozen=True)
-class FullCovariance:
-    """Real symmetric (2M+4)×(2M+4) covariance matrix of anticommutators."""
-
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=float)
-        scale = max(1.0, np.abs(s).max())
-        if np.abs(s - s.T).max() > 1e-12 * scale:
-            raise ConsistencyError("covariance matrix is not symmetric")
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma", s)
 
 
 def build_full_model(params: ModelParams) -> FullModel:
@@ -105,122 +90,16 @@ def build_full_model(params: ModelParams) -> FullModel:
     return FullModel(params, hmat, omega, eigenvalues, eigenvectors)
 
 
-def initial_covariance(params: ModelParams) -> FullCovariance:
-    """Σ(0): identity blocks for the two vacuum system modes, [2N(ω_k)+1]·1₂ per bath mode."""
-    omega_k, _ = bath_modes(params)
-    diag = np.ones(2 * params.M + 4)
-    occ = 2.0 * bose_factor(omega_k, params.beta) + 1.0
-    diag[4::2] = occ
-    diag[5::2] = occ
-    return FullCovariance(np.diag(diag))
-
-
-def _phase_increments(model: FullModel, t: float) -> np.ndarray:
-    """expm1(−iλt) per eigenmode: e^{−iλt} − 1, exactly zero at t = 0."""
-    return np.expm1(-1j * model.eigenvalues * t)
-
-
-def propagator(model: FullModel, t: float) -> np.ndarray:
-    """U(t) = e^{Ωℋt} = I + V diag(expm1(−iλt)) V†, complex (2M+4)² array.
-
-    The correction term vanishes identically at t = 0, so U(0) = I exactly;
-    at other times U is real up to roundoff.
-    """
-    v = model.eigenvectors
-    u = (v * _phase_increments(model, t)) @ v.conj().T
-    u[np.diag_indices_from(u)] += 1.0
-    return u
-
-
-def propagate_exact(model: FullModel, sigma0: FullCovariance, t: float) -> FullCovariance:
-    """Σ(t) = U Σ(0) U† with U = I + V diag(expm1(−iλt)) V† (:func:`propagator`).
-
-    At t = 0 the result is Σ(0) exactly.
-    """
-    u = propagator(model, t)
-    sig = u @ sigma0.sigma @ u.conj().T
-    residue = np.abs(sig.imag).max()
-    if residue > 1e-8 * max(1.0, np.abs(sig.real).max()):
-        raise PropagationError(f"imaginary residue {residue:.2e} in exact propagation")
-    out = sig.real
-    return FullCovariance(0.5 * (out + out.T))
-
-
-def system_moments(sigma) -> MomentState:
-    """Eigenmode moments read off the upper-left 4×4 minor of Σ.
-
-    The minor is rotated to the ladder ordering by Γ_S = 𝒱†Σ_S𝒱; then
-    n± = (Γ₁₁/Γ₃₃ − 1)/2 and ⟨γ₋γ₊†⟩ = Γ₃₁/2. Entries that must vanish for
-    an excitation-conserving zero-mean state are checked against roundoff.
-    """
-    s = sigma.sigma if isinstance(sigma, FullCovariance) else np.asarray(sigma, dtype=float)
-    if s.shape[0] < 4:
-        raise ConsistencyError("covariance must contain the 4x4 system minor")
-    minor = s[:4, :4]
-    scale = max(1.0, np.abs(minor).max())
-    if np.abs(minor - minor.T).max() > 1e-9 * scale:
-        raise ConsistencyError("system minor is not symmetric")
-    gam = VCAL.conj().T @ minor @ VCAL
-    n_plus = 0.5 * (gam[0, 0].real - 1.0)
-    n_minus = 0.5 * (gam[2, 2].real - 1.0)
-    cross = 0.5 * gam[2, 0]
-    tol = 1e-7 * scale
-    if (abs(gam[1, 1] - gam[0, 0]) > tol or abs(gam[3, 3] - gam[2, 2]) > tol
-            or abs(gam[1, 3] - 2.0 * cross) > tol or abs(gam[1, 0]) > tol
-            or abs(gam[3, 0]) > tol):
-        raise ConsistencyError("system minor is not an excitation-conserving Gaussian state")
-    return MomentState(n_plus, n_minus, complex(cross))
-
-
-class EnergyComponents(NamedTuple):
-    e_s0: float  # ⟨H_S,0⟩, vacuum-zeroed
-    e_sg: float  # ⟨H_S,g⟩
-    e_1: float   # ⟨H_1⟩
-    e_e: float   # ⟨H_E⟩ as change from t = 0
-
-
-def _hamiltonian_parts(params: ModelParams) -> tuple[np.ndarray, ...]:
-    m = params.M
-    n = 2 * m + 4
-    omega_k, gamma_k = bath_modes(params)
-    h_s0 = np.zeros((n, n))
-    h_s0[:4, :4] = np.eye(4) * params.omega0
-    h_sg = np.zeros((n, n))
-    h_sg[0, 2] = h_sg[2, 0] = h_sg[1, 3] = h_sg[3, 1] = params.g
-    h_1 = np.zeros((n, n))
-    idx = 4 + 2 * np.arange(m)
-    h_1[0, idx] = h_1[idx, 0] = gamma_k
-    h_1[1, idx + 1] = h_1[idx + 1, 1] = gamma_k
-    h_e = np.zeros((n, n))
-    h_e[idx, idx] = omega_k
-    h_e[idx + 1, idx + 1] = omega_k
-    return h_s0, h_sg, h_1, h_e
-
-
-def _energy_offsets(params: ModelParams, parts: tuple[np.ndarray, ...]) -> np.ndarray:
-    # normal ordering for the number terms; bath energy referenced to t = 0,
-    # summed exactly as energy_components sums it so the thermal state reads 0
-    bath0 = 0.25 * np.sum(parts[3] * initial_covariance(params).sigma)
-    return np.array([params.omega0, 0.0, 0.0, bath0])
-
-
-def energy_components(sigma, params: ModelParams) -> EnergyComponents:
-    """Expectation values of the four Hamiltonian pieces from second moments.
-
-    Each quadratic form ½rᵀℋ_p r has ⟨·⟩ = ¼ tr(ℋ_p Σ); system terms are
-    reported normal-ordered (zero on the vacuum) and the bath term relative
-    to its initial thermal value, so all four components start at zero.
-    """
-    s = sigma.sigma if isinstance(sigma, FullCovariance) else np.asarray(sigma, dtype=float)
-    parts = _hamiltonian_parts(params)
-    offsets = _energy_offsets(params, parts)
-    vals = [0.25 * np.sum(h * s) - off for h, off in zip(parts, offsets)]
-    return EnergyComponents(*vals)
-
-
 class ExactRun(NamedTuple):
+    """System moments and energy split of the exact model on one time grid.
+
+    ``energies`` has shape (len(times), 4) with the columns in the order
+    (e_s0, e_sg, e_1, e_e): ⟨H_S,0⟩ vacuum-zeroed, ⟨H_S,g⟩, ⟨H_1⟩, and ⟨H_E⟩
+    as the change from t = 0.
+    """
+
     trajectory: Trajectory
-    energies: np.ndarray  # shape (len(times), 4), EnergyComponents order
+    energies: np.ndarray
 
 
 #: time points per block of matrix products; temporaries stay O(_BLOCK·(M+2))
@@ -304,23 +183,5 @@ def exact_trajectory(params: ModelParams, times) -> ExactRun:
         energies[sl, 2] = 2.0 * ((a_re * (gamma_k + g_re) + a_im * g_im) @ occ)
         energies[sl, 3] = 2.0 * (d[0] @ a_form) + quad
     state = from_ab_basis(aa, bb, ab_dag)
-    traj = Trajectory(times, state.n_plus, state.n_minus, state.cross, "exact")
+    traj = Trajectory(times, state.n_plus, state.n_minus, state.cross)
     return ExactRun(traj, energies)
-
-
-def physicality_min_eigenvalue(sigma, omega: np.ndarray) -> float:
-    """min eig(Σ + iΩ); ≥ 0 up to roundoff for a physical state."""
-    s = sigma.sigma if isinstance(sigma, FullCovariance) else np.asarray(sigma, dtype=float)
-    return float(np.linalg.eigvalsh(s + 1j * omega).min())
-
-
-def symplectic_spectrum(sigma, omega: np.ndarray) -> np.ndarray:
-    """Williamson spectrum of Σ, ascending.
-
-    Computed from the Hermitian matrix Lᵀ(iΩ)L with Σ = LLᵀ, whose
-    eigenvalues are ±ν_j; conserved under the exact (symplectic) evolution.
-    """
-    s = sigma.sigma if isinstance(sigma, FullCovariance) else np.asarray(sigma, dtype=float)
-    chol = np.linalg.cholesky(s)
-    ev = np.linalg.eigvalsh(chol.T @ (1j * omega) @ chol)
-    return np.sort(ev[ev > 0.0])

@@ -35,6 +35,9 @@ from .moments import MomentState, Scheme
 
 BOUNDARY_TOL = 1e-6
 THERMAL_TAIL_TOL = 1e-8
+#: relative and absolute tolerances of the master-equation integrator
+_RTOL = 1e-10
+_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,7 @@ def thermal_product_state(n_plus: float, n_minus: float, d: int,
     return TruncatedState(rho / np.trace(rho, axis1=1, axis2=2).sum().real, d)
 
 
-def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times, *,
-                       rtol: float = 1e-10, atol: float = 1e-12) -> list[TruncatedState]:
+def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times) -> list[TruncatedState]:
     """Integrate the operator-form master equation, returning Schrödinger-picture states.
 
     Uses an adaptive explicit integrator at tolerance 1e−10, stepping onto
@@ -206,7 +208,7 @@ def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times, *,
     ys = [rho0.blocks.ravel().astype(complex)]
     step = None
     for t0, t1 in zip(times[:-1], times[1:]):
-        sol = solve_ivp(rhs, (t0, t1), ys[-1], method="DOP853", rtol=rtol, atol=atol,
+        sol = solve_ivp(rhs, (t0, t1), ys[-1], method="DOP853", rtol=_RTOL, atol=_ATOL,
                         first_step=None if step is None else min(step, t1 - t0))
         if not sol.success:
             raise CutoffError(f"master-equation integration failed: {sol.message}")

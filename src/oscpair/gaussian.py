@@ -9,27 +9,12 @@ eigenvalue route the tests check these closed forms against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, NonPhysicalStateError
 from .moments import MomentState
-from .spectral import CoefficientSet
-
-#: symplectic form in the ladder ordering (γ₊, γ₊†, γ₋, γ₋†); iΞ = diag(1,−1,1,−1)
-XI = np.diag([-1j, 1j, -1j, 1j])
-XI.setflags(write=False)
-
-#: unitary mapping ladder to quadrature ordering, r = 𝒱 (γ₊, γ₊†, γ₋, γ₋†)ᵀ
-VCAL = 0.5 * np.array([
-    [1, 1, 1, 1],
-    [-1j, 1j, -1j, 1j],
-    [1, 1, -1, -1],
-    [-1j, 1j, 1j, -1j],
-])
-VCAL.setflags(write=False)
 
 
 def eigenmode_covariance(state: MomentState) -> np.ndarray:
@@ -50,17 +35,13 @@ def _lambda_c(state):
     return 0.5 * (npl + nmi - np.hypot(npl - nmi, 2.0 * np.abs(state.cross)))
 
 
-def lambda_c(state: MomentState) -> float:
+def lambda_c_trajectory(traj):
     """Positivity diagnostic λ_c = ½ min eig(Γ + iΞ); negative ⇔ unphysical state.
 
     Evaluated through the closed form
-    ½[n₊ + n₋ − sqrt((n₊−n₋)² + 4|⟨γ₋γ₊†⟩|²)].
+    ½[n₊ + n₋ − sqrt((n₊−n₋)² + 4|⟨γ₋γ₊†⟩|²)], elementwise along a moment
+    trajectory, or as a scalar for a single state.
     """
-    return float(_lambda_c(state))
-
-
-def lambda_c_trajectory(traj) -> np.ndarray:
-    """λ_c along a moment trajectory (vectorized closed form)."""
     return _lambda_c(traj)
 
 
@@ -70,19 +51,6 @@ def _violates_uncertainty(state):
     scale = np.maximum(np.maximum(1.0, np.abs(u + 1.0)),
                        np.maximum(np.abs(v + 1.0), np.abs(q)))
     return 2.0 * _lambda_c(state) < -1e-8 * scale
-
-
-def lambda_c_short_time_slope(s: float, coeffs: CoefficientSet) -> float:
-    """Initial slope of λ_c(t) from the ground state under the smoothed Redfield family.
-
-    Equals ½[(γ⁽¹⁾₊₊+γ⁽¹⁾₋₋) − sqrt((γ⁽¹⁾₊₊−γ⁽¹⁾₋₋)² + 4s²|γ⁽¹⁾₊₋|²)] and is
-    non-negative exactly when s² ≤ γ⁽¹⁾₊₊γ⁽¹⁾₋₋/|γ⁽¹⁾₊₋|², i.e. inside the
-    i = 1 block of the positivity bound.
-    """
-    gpp = coeffs.gamma1[0, 0].real
-    gmm = coeffs.gamma1[1, 1].real
-    gpm = abs(coeffs.gamma1[0, 1])
-    return 0.5 * ((gpp + gmm) - math.hypot(gpp - gmm, 2.0 * abs(s) * gpm))
 
 
 def _doubled(state):

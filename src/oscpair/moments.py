@@ -22,9 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError, PropagationError, SteadyStateError
-from .params import ModelParams
-from .spectral import CoefficientSet, bose_factor, pv_integral
-
+from .spectral import CoefficientSet
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,6 @@ class Trajectory:
     n_plus: np.ndarray
     n_minus: np.ndarray
     cross: np.ndarray
-    scheme: str = ""
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -83,7 +80,7 @@ class Trajectory:
 class AffineGenerator:
     """ẋ = Ax + b with eigen-decomposition cached at construction."""
 
-    def __init__(self, a_matrix, b_vector, scheme: str = ""):
+    def __init__(self, a_matrix, b_vector):
         a = np.array(a_matrix, dtype=float)
         b = np.array(b_vector, dtype=float)
         if a.shape != (4, 4) or b.shape != (4,):
@@ -92,12 +89,8 @@ class AffineGenerator:
         b.setflags(write=False)
         self.a = a
         self.b = b
-        self.scheme = scheme
         self._eigvals, self._eigvecs = np.linalg.eig(a)
         self._cond = np.linalg.cond(self._eigvecs)
-
-    def __repr__(self):
-        return f"AffineGenerator(scheme={self.scheme!r})"
 
 
 @dataclass(frozen=True)
@@ -117,7 +110,6 @@ class Scheme:
     0 global) and None for the local scheme.
     """
 
-    name: str
     u: np.ndarray
     w: np.ndarray
     h: np.ndarray
@@ -133,13 +125,11 @@ class Scheme:
             object.__setattr__(self, field, arr)
 
     @classmethod
-    def coarse_grained(cls, coeffs: CoefficientSet, s: float,
-                       name: str | None = None) -> "Scheme":
+    def coarse_grained(cls, coeffs: CoefficientSet, s: float) -> "Scheme":
         """Coarse-grained Redfield at filter value s; |s| is not restricted to
         the positivity bound. The filter multiplies every non-secular term."""
         filt = np.array([[1.0, s], [s, 1.0]])
         return cls(
-            name=f"cg_redfield:{s:g}" if name is None else name,
             u=filt * coeffs.gamma1,
             w=filt * coeffs.gamma2.T,
             h=filt * (coeffs.eta1 + coeffs.eta2.T),
@@ -153,7 +143,6 @@ class Scheme:
         ones = np.ones((2, 2))
         k0, n0 = coeffs.kappa_omega0, coeffs.n_occ_omega0
         return cls(
-            name="local",
             u=0.5 * k0 * n0 * ones,
             w=0.5 * k0 * (1.0 + n0) * ones,
             h=0.5 * coeffs.delta_omega_a * ones,
@@ -169,7 +158,7 @@ class Scheme:
         """
         k = 1j * (np.diag(self.omegas) + self.h).T - 0.5 * (self.w - self.u).T
         a = np.column_stack([_coords(k @ e + e @ k.conj().T) for e in _HERMITIAN_BASIS])
-        return AffineGenerator(a, _coords(self.u.T), self.name)
+        return AffineGenerator(a, _coords(self.u.T))
 
 
 #: Hermitian 2×2 matrices whose coordinates are the unit vectors of x
@@ -181,10 +170,9 @@ def _coords(n: np.ndarray) -> np.ndarray:
     return np.array([n[0, 0].real, n[1, 1].real, n[0, 1].real, n[0, 1].imag])
 
 
-def cg_redfield_generator(coeffs: CoefficientSet, s: float,
-                          scheme: str | None = None) -> AffineGenerator:
+def cg_redfield_generator(coeffs: CoefficientSet, s: float) -> AffineGenerator:
     """Moment generator of the coarse-grained Redfield family at filter value s."""
-    return Scheme.coarse_grained(coeffs, s, scheme).generator()
+    return Scheme.coarse_grained(coeffs, s).generator()
 
 
 def local_generator(coeffs: CoefficientSet) -> AffineGenerator:
@@ -243,7 +231,7 @@ def propagate(gen: AffineGenerator, init: MomentState, times) -> Trajectory:
                 raise PropagationError(f"propagation diverged at t = {t}")
             x[i] = yt[:4]
 
-    return Trajectory(times, x[:, 0], x[:, 1], x[:, 2] + 1j * x[:, 3], gen.scheme)
+    return Trajectory(times, x[:, 0], x[:, 1], x[:, 2] + 1j * x[:, 3])
 
 
 def steady_state(gen: AffineGenerator) -> MomentState:
@@ -255,60 +243,6 @@ def steady_state(gen: AffineGenerator) -> MomentState:
     if not np.allclose(gen.a @ x, -gen.b, atol=1e-12, rtol=1e-9):
         raise SteadyStateError("no reliable unique steady state (near-singular A)")
     return MomentState.from_vector(x)
-
-
-def global_closed_form(coeffs: CoefficientSet, times) -> Trajectory:
-    """Analytic global-scheme moments from the ground state:
-    n±(t) = N(ω±)(1 − e^{−κ(ω±)t/2}), cross ≡ 0."""
-    times = np.asarray(times, dtype=float)
-    n_p = coeffs.n_occ_plus * (1.0 - np.exp(-0.5 * coeffs.kappa_plus * times))
-    n_m = coeffs.n_occ_minus * (1.0 - np.exp(-0.5 * coeffs.kappa_minus * times))
-    return Trajectory(times, n_p, n_m, np.zeros_like(times, dtype=complex),
-                      "global_closed_form")
-
-
-def local_closed_form(coeffs: CoefficientSet, times) -> Trajectory:
-    """Analytic local-scheme moments from the ground state, Lamb shift neglected.
-
-    With ε = sqrt((4g)² − κ(ω0)²):
-      n±(t)       = N0 {1 − e^{−κ0 t/2} [16g² − κ0² cos(εt/2)]/ε²}
-      Re cross(t) = N0 κ0 e^{−κ0 t/2} sin(εt/2)/ε
-      Im cross(t) = 4 N0 κ0 g e^{−κ0 t/2} [1 − cos(εt/2)]/ε²
-    """
-    times = np.asarray(times, dtype=float)
-    k0 = coeffs.kappa_omega0
-    n0 = coeffs.n_occ_omega0
-    g = coeffs.g_coupling
-    disc = (4.0 * g) ** 2 - k0**2
-    if disc <= 0.0:
-        raise DomainError(
-            "local closed form needs 4g > kappa(omega0) (underdamped regime)")
-    eps = np.sqrt(disc)
-    damp = np.exp(-0.5 * k0 * times)
-    cos = np.cos(0.5 * eps * times)
-    sin = np.sin(0.5 * eps * times)
-    n_pm = n0 * (1.0 - damp * (16.0 * g**2 - k0**2 * cos) / eps**2)
-    re_c = n0 * k0 * damp * sin / eps
-    im_c = 4.0 * n0 * k0 * g * damp * (1.0 - cos) / eps**2
-    return Trajectory(times, n_pm, n_pm.copy(), re_c + 1j * im_c, "local_closed_form")
-
-
-def asymptotic_gap_first_order(s: float, params: ModelParams) -> float:
-    """O(κ) prediction for the steady excitation gap 2Re⟨γ₋γ₊†⟩(∞) = ⟨a†a⟩−⟨b†b⟩.
-
-    Equals s/(ω₊−ω₋) times the band integral of
-    (κ(ε)/2π)[(N(ε)−N(ω₊))/(ε−ω₊) − (N(ε)−N(ω₋))/(ε−ω₋)]; the subtracted
-    integrand is regular at both poles, and expanding it by linearity reduces
-    each half to principal values that are already available:
-    P∫ κ(N(ε)−N_σ)/2π/(ε−ω_σ) = pv("N", ω_σ) − N_σ·pv("bare", ω_σ).
-    """
-    if not params.g > 0.0:
-        raise DomainError("asymptotic gap needs g > 0")
-    terms = []
-    for w in (params.omega_plus, params.omega_minus):
-        occ = bose_factor(w, params.beta)
-        terms.append(pv_integral("N", w, params) - occ * pv_integral("bare", w, params))
-    return s / (params.omega_plus - params.omega_minus) * (terms[0] - terms[1])
 
 
 def mixture_moments(local_traj: Trajectory, global_traj: Trajectory,
@@ -324,5 +258,4 @@ def mixture_moments(local_traj: Trajectory, global_traj: Trajectory,
         w * local_traj.n_plus + (1.0 - w) * global_traj.n_plus,
         w * local_traj.n_minus + (1.0 - w) * global_traj.n_minus,
         w * local_traj.cross + (1.0 - w) * global_traj.cross,
-        "mixture",
     )

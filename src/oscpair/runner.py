@@ -59,7 +59,7 @@ def resolve_scheme(name: str, coeffs: CoefficientSet) -> Scheme:
         s = coeffs.s_offdiag if s is None else s
     else:
         raise ValidationError(f"{name!r} is not a master-equation scheme")
-    return Scheme.coarse_grained(coeffs, s, name)
+    return Scheme.coarse_grained(coeffs, s)
 
 
 class SchemeRunner:

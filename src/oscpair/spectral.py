@@ -91,9 +91,11 @@ def correlation_function(kind: int, tau, params: ModelParams):
 #: grid points per envelope evaluation in memory_time; the half-maximum
 #: crossing of the presets lies within the first block
 _SCAN_BLOCK = 512
+#: bisection stops once the bracket on τ_E is this narrow
+_BISECT_TOL = 1e-10
 
 
-def memory_time(params: ModelParams, *, tol: float = 1e-10) -> float:
+def memory_time(params: ModelParams) -> float:
     """Bath memory time τ_E: half width at half maximum of |c^(1)(τ)|.
 
     The first crossing of |c^(1)(0)|/2 is bracketed on a dense grid starting
@@ -122,7 +124,7 @@ def memory_time(params: ModelParams, *, tol: float = 1e-10) -> float:
     hi = start + below[0]
     lo = hi - 1
     a, b = grid[lo], grid[hi]
-    while b - a > tol:
+    while b - a > _BISECT_TOL:
         mid = 0.5 * (a + b)
         if envelope(mid) > half:
             a = mid
@@ -143,8 +145,11 @@ def _occupation_derivatives(omega: float, beta: float) -> tuple[float, float, fl
     return n, -beta * n * (n + 1.0), beta**2 * n * (n + 1.0) * (2.0 * n + 1.0)
 
 
-def pv_integral(kind: str, omega_target: float, params: ModelParams,
-                *, epsabs: float = 1e-11) -> float:
+#: absolute error target of each quadrature in pv_integral
+_PV_EPSABS = 1e-11
+
+
+def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
     """Cauchy principal value  P∫₀^{ωc} f(ε)/(ε − ω_t) dε.
 
     f(ε) = κ(ε)w(ε)/2π with w = N(ε), 1+N(ε) or 1 for ``kind`` in
@@ -214,14 +219,14 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams,
             return c_head * s / (e - w_t)
 
         head, _ = quad(head_integrand, 0.0, lower**alpha,
-                       epsabs=epsabs, epsrel=1e-12, limit=200)
+                       epsabs=_PV_EPSABS, epsrel=1e-12, limit=200)
         # subtracted constant over the pole-free head, integrated exactly
         total += head - f_t * math.log((w_t - lower) / w_t)
         reg, _ = quad(regular, lower, wc, points=[w_t],
-                      epsabs=epsabs, epsrel=1e-12, limit=400)
+                      epsabs=_PV_EPSABS, epsrel=1e-12, limit=400)
     else:
         reg, _ = quad(regular, 0.0, wc, points=[w_t],
-                      epsabs=epsabs, epsrel=1e-12, limit=400)
+                      epsabs=_PV_EPSABS, epsrel=1e-12, limit=400)
     total += reg + f_t * math.log((wc - w_t) / w_t)
     return total
 
@@ -279,17 +284,12 @@ class CoefficientSet:
     delta_omega_minus: float
     delta_omega_a: float
     s_offdiag: float
-    lamb_shift: bool = True
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2", "eta1", "eta2"):
             arr = np.asarray(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def g_coupling(self) -> float:
-        return 0.5 * (self.omega_plus - self.omega_minus)
 
 
 def dissipator_coefficients(params: ModelParams, *, lamb_shift: bool = True) -> CoefficientSet:
@@ -348,7 +348,6 @@ def dissipator_coefficients(params: ModelParams, *, lamb_shift: bool = True) -> 
         delta_omega_minus=delta_omega[_M],
         delta_omega_a=delta_omega_a,
         s_offdiag=float(s_off),
-        lamb_shift=lamb_shift,
     )
 
 

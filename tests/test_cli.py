@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oscpair import ModelParams, ValidationError, cp_threshold
-from oscpair import cli, runner, spectral
+from oscpair import cli, runner, spectral, verify
 from oscpair.cli import build_config, main
 from oscpair.presets import PRESETS, preset
 
@@ -193,3 +193,43 @@ def test_failed_run_writes_no_files(tmp_path, capsys):
     assert main(argv) == 1
     assert "oracle-verify needs small occupations" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reference_is_not_a_set_field(tmp_path, capsys):
+    # the fidelity reference is chosen with --reference only
+    argv = ["fidelity", "--preset", "fig6", "--set", "reference=local", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "'reference'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, start, rows_expected",
+                         [("1:150:50:log", 1.0, 51), ("5:150:30:lin", 5.0, 31)])
+def test_grid_not_starting_at_zero_gets_t0_prepended(tmp_path, grid, start, rows_expected):
+    argv = ["run", "--preset", "fig7", "--grid", grid, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    _, rows = read_csv(tmp_path / "exact.csv")
+    assert rows.shape[0] == rows_expected
+    assert np.all(rows[0] == 0.0)
+    assert rows[1, 0] == start and rows[-1, 0] == 150.0
+
+
+_FILTER_RUN = ["run", "--preset", "fig5", *_EDGE_GRID, "--set", "schemes=global,cg_redfield"]
+
+
+def test_saturating_delta_t_filters_at_cp_threshold(tmp_path):
+    assert main([*_FILTER_RUN, "--set", "delta_t=saturating", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["schemes"]["cg_redfield"]["filter_s"] == summary["cp_threshold"]
+
+
+def test_infinite_delta_t_is_the_global_scheme(tmp_path):
+    assert main([*_FILTER_RUN, "--set", "delta_t=inf", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "cg_redfield.csv").read_bytes() == (tmp_path / "global.csv").read_bytes()
+
+
+def test_verify_exits_2_when_a_cutoff_is_exceeded(monkeypatch, capsys):
+    # a draw whose truncation fails is reported, not replaced by a weaker case
+    monkeypatch.setattr(verify, "_cutoff_for", lambda n_scale: 4)
+    assert main(["verify", "--draws", "1", "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "increase the cutoff" in err

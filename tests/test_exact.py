@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oscpair import (ConsistencyError, ModelParams, build_full_model, eigenmode_covariance,
-                     energy_components, exact_trajectory, initial_covariance,
-                     physicality_min_eigenvalue, propagate_exact, symplectic_spectrum,
-                     system_moments)
-from oscpair.exact import propagator
-from oscpair.gaussian import VCAL
+from oscpair import ConsistencyError, ModelParams, exact_trajectory
+from oscpair.exact import build_full_model
+from oscpair.gaussian import eigenmode_covariance
 from oscpair.moments import MomentState
 
 from conftest import FIG4
+from phase_space import (VCAL, energy_components, initial_covariance,
+                         physicality_min_eigenvalue, propagate_exact, propagator,
+                         symplectic_spectrum, system_moments)
 
 
 def params(**over):

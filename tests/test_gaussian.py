@@ -7,15 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st_
 
 from oscpair import (ConsistencyError, DomainError, MomentState, NonPhysicalStateError,
-                     VACUUM, cp_threshold, dissipator_coefficients, eigenmode_covariance,
+                     VACUUM, cp_threshold, dissipator_coefficients,
                      fidelity_truncated, from_ab_basis, gaussian_fidelity,
-                     gaussian_fidelity_sq, lambda_c, lambda_c_short_time_slope,
-                     lambda_c_trajectory, mixture_fidelity_lower_bound, propagate,
-                     cg_redfield_generator, thermal_product_state, to_ab_basis)
-from oscpair.gaussian import VCAL, XI
+                     gaussian_fidelity_sq, lambda_c_trajectory,
+                     mixture_fidelity_lower_bound, propagate,
+                     thermal_product_state, to_ab_basis)
+from oscpair.gaussian import eigenmode_covariance
+from oscpair.moments import cg_redfield_generator
 
 from conftest import FIG4
 from oscpair import ModelParams
+from phase_space import VCAL, XI, lambda_c_short_time_slope
 
 
 def random_physical_state(rng, n_max=3.0):
@@ -114,10 +116,10 @@ class TestEigenmodeCovariance:
 
 class TestLambdaC:
     def test_vacuum_saturates(self):
-        assert lambda_c(VACUUM) == 0.0
+        assert lambda_c_trajectory(VACUUM) == 0.0
 
     def test_balanced_thermal(self):
-        assert lambda_c(MomentState(2.0, 2.0, 0j)) == pytest.approx(2.0, rel=1e-14)
+        assert lambda_c_trajectory(MomentState(2.0, 2.0, 0j)) == pytest.approx(2.0, rel=1e-14)
 
     def test_closed_form_equals_eigenvalue_route(self, rng):
         for _ in range(10_000):
@@ -128,7 +130,7 @@ class TestLambdaC:
             gam = eigenmode_covariance(st)
             eig = 0.5 * np.linalg.eigvalsh(gam + 1j * XI).min()
             assert abs(closed - eig) <= 1e-10 * max(1.0, n1 + n2 + abs(c))
-            assert abs(lambda_c(st) - eig) <= 1e-10 * max(1.0, n1 + n2 + abs(c))
+            assert abs(lambda_c_trajectory(st) - eig) <= 1e-10 * max(1.0, n1 + n2 + abs(c))
 
     def test_redfield_goes_negative(self, fig4_runner):
         traj = fig4_runner.trajectory("redfield", np.linspace(0.0, 5.0, 2001))
@@ -170,7 +172,7 @@ class TestShortTimeSlope:
         gen = cg_redfield_generator(coeffs, s)
         h = 1e-4
         traj = propagate(gen, VACUUM, np.array([0.0, h]))
-        fd = lambda_c(traj.state(1)) / h
+        fd = lambda_c_trajectory(traj.state(1)) / h
         analytic = lambda_c_short_time_slope(s, coeffs)
         assert fd == pytest.approx(analytic, rel=0.01)
 

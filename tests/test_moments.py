@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 
 from oscpair import (DomainError, MomentState, SteadyStateError, Trajectory, VACUUM,
-                     AffineGenerator, asymptotic_gap_first_order, cg_redfield_generator,
-                     cp_threshold, dissipator_coefficients, global_closed_form,
-                     local_closed_form, local_generator, mixture_moments, propagate,
-                     pv_integral, steady_state)
+                     AffineGenerator, cp_threshold, dissipator_coefficients,
+                     mixture_moments, propagate, steady_state)
+from oscpair import moments
+from oscpair.moments import cg_redfield_generator, local_generator
+from oscpair.runner import resolve_scheme
 
 from conftest import FIG4
 from oscpair import ModelParams
+from phase_space import asymptotic_gap_first_order, global_closed_form, local_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,27 @@ class TestPropagate:
             propagate(gen, VACUUM, np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             propagate(gen, VACUUM, np.array([0.0, 2.0, 2.0]))
+
+    @pytest.mark.parametrize("fields", REFERENCE_SETS[:4])
+    @pytest.mark.parametrize("name", ["redfield", "cp_redfield", "global", "local",
+                                      "cg_redfield:0.3"])
+    def test_eigen_branch_matches_augmented_exponential(self, monkeypatch, fields, name):
+        gen = resolve_scheme(name, dissipator_coefficients(ModelParams(**fields))).generator()
+        times = np.linspace(0.0, 300.0, 61)
+
+        def no_fallback(_):
+            raise AssertionError("propagate left the eigen branch")
+
+        monkeypatch.setattr(moments, "expm", no_fallback)
+        traj = propagate(gen, VACUUM, times)
+        got = np.column_stack([traj.n_plus, traj.n_minus, traj.cross.real, traj.cross.imag])
+        # x(t) from the exponential of the augmented generator [[A, b], [0, 0]]
+        aug = np.zeros((5, 5))
+        aug[:4, :4] = gen.a
+        aug[:4, 4] = gen.b
+        y0 = np.append(VACUUM.as_vector(), 1.0)
+        ref = np.array([(expm(aug * t) @ y0)[:4] for t in times])
+        assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
     def test_expm_fallback_on_singular_generator(self):
         gen = AffineGenerator(np.zeros((4, 4)), np.array([1.0, 0.0, 0.0, 0.0]))
