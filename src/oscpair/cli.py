@@ -133,24 +133,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    for i in range(len(columns[0])):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
-    path.write_text("\n".join(lines) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _scheme_filename(name: str) -> str:
     return name.replace(":", "_s") + ".csv"
-
-
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _state_summary(state: MomentState) -> dict:
@@ -263,7 +251,7 @@ def _params_summary(params: ModelParams) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_fidelity(args) -> int:

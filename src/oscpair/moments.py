@@ -183,6 +183,17 @@ def local_generator(coeffs: CoefficientSet) -> AffineGenerator:
 _COND_LIMIT = 1e8
 
 
+def _fixed_point(gen: AffineGenerator) -> np.ndarray:
+    # −A⁻¹b, accepted only when it solves Ax = −b to the residual tolerance
+    try:
+        x = np.linalg.solve(gen.a, -gen.b)
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError("generator matrix is singular") from exc
+    if not np.allclose(gen.a @ x, -gen.b, atol=1e-12, rtol=1e-9):
+        raise SteadyStateError("no reliable unique steady state (near-singular A)")
+    return x
+
+
 def propagate(gen: AffineGenerator, init: MomentState, times) -> Trajectory:
     """Solve ẋ = Ax + b exactly on the given grid from x(0) = init.
 
@@ -204,10 +215,10 @@ def propagate(gen: AffineGenerator, init: MomentState, times) -> Trajectory:
     x = None
     if gen._cond < _COND_LIMIT:
         try:
-            x_ss = np.linalg.solve(gen.a, -gen.b)
-        except np.linalg.LinAlgError:
-            x_ss = None
-        if x_ss is not None and np.allclose(gen.a @ x_ss, -gen.b, atol=1e-12, rtol=1e-9):
+            x_ss = _fixed_point(gen)
+        except SteadyStateError:
+            pass  # no reliable fixed point: the augmented exponential handles A
+        else:
             coef = np.linalg.solve(gen._eigvecs, x0 - x_ss)
             modes = coef[:, None] * np.exp(np.outer(gen._eigvals, times))
             xt = (gen._eigvecs @ modes).T + x_ss
@@ -236,13 +247,7 @@ def propagate(gen: AffineGenerator, init: MomentState, times) -> Trajectory:
 
 def steady_state(gen: AffineGenerator) -> MomentState:
     """Fixed point −A⁻¹ b of the affine system."""
-    try:
-        x = np.linalg.solve(gen.a, -gen.b)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError("generator matrix is singular") from exc
-    if not np.allclose(gen.a @ x, -gen.b, atol=1e-12, rtol=1e-9):
-        raise SteadyStateError("no reliable unique steady state (near-singular A)")
-    return MomentState.from_vector(x)
+    return MomentState.from_vector(_fixed_point(gen))
 
 
 def mixture_moments(local_traj: Trajectory, global_traj: Trajectory,

@@ -59,10 +59,8 @@ def bath_modes(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """
     k = np.arange(1, params.M + 1)
     omega_k = k / params.M * params.omega_c
-    gamma_k = np.sqrt(
-        params.kappa0 * (omega_k / params.omega0) ** params.alpha
-        * params.omega_c / (2.0 * np.pi * params.M)
-    )
+    gamma_k = np.sqrt(spectral_density(omega_k, params) * params.omega_c
+                      / (2.0 * np.pi * params.M))
     return omega_k, gamma_k
 
 
@@ -139,12 +137,6 @@ def memory_time(params: ModelParams) -> float:
     return tau_e
 
 
-def _occupation_derivatives(omega: float, beta: float) -> tuple[float, float, float]:
-    # N, N' = -beta N(N+1), N'' = beta^2 N(N+1)(2N+1)
-    n = bose_occupation(beta * omega)
-    return n, -beta * n * (n + 1.0), beta**2 * n * (n + 1.0) * (2.0 * n + 1.0)
-
-
 #: absolute error target of each quadrature in pv_integral
 _PV_EPSABS = 1e-11
 
@@ -153,16 +145,15 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
     """Cauchy principal value  P∫₀^{ωc} f(ε)/(ε − ω_t) dε.
 
     f(ε) = κ(ε)w(ε)/2π with w = N(ε), 1+N(ε) or 1 for ``kind`` in
-    {"N", "1+N", "bare"}. The singularity is removed analytically by the
-    subtraction
-
-        P∫ f/(ε−ω_t) = ∫ [f(ε)−f(ω_t)]/(ε−ω_t) dε + f(ω_t)·ln((ωc−ω_t)/ω_t),
-
-    the remaining integrand being smooth inside the band. For sub-Ohmic
-    exponents 0 < α < 1 the occupation-weighted integrands diverge like
-    ε^{α−1} at the lower edge; that head is mapped to a regular integrand by
-    the substitution u = ε^α. α = 0 with a thermal weight is rejected (the
-    integral does not converge at finite temperature).
+    {"N", "1+N", "bare"}. The band is split at ε_h = min(ω_t/2, ω0), and for
+    the thermal weights also at 40/β, below which a cold bath's occupation
+    sits. The head [0, ε_h] is integrated by QUADPACK's algebraic-weight rule
+    (QAWS) with weight ε^{α−1} and the smooth factor εw(ε)/(ε−ω_t), where
+    εN(ε) → 1/β at ε = 0 (weight ε^α and factor 1/(ε−ω_t) for "bare"); the
+    rest [ε_h, ωc], which holds the pole, by the Cauchy-weight rule (QAWC).
+    Both are from QUADPACK (Piessens et al., Springer 1983) via ``quad``.
+    α = 0 with a thermal weight is rejected (the integral does not converge
+    at finite temperature).
     """
     if kind not in PV_KINDS:
         raise DomainError(f"pv kind must be one of {PV_KINDS}, got {kind!r}")
@@ -178,57 +169,25 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
             "at finite temperature")
 
     pref = params.kappa0 / (2.0 * np.pi * params.omega0**alpha)
+    split = min(w_t / 2.0, params.omega0)
+    if kind == "bare":
+        power = alpha
+    else:  # above 40/β the occupation is below e^{-40}
+        power = alpha - 1.0
+        split = min(split, 40.0 / beta)
 
-    def weight(e, n):
+    def smooth(e):  # f(ε)/(pref·ε^power), finite at ε = 0
         if kind == "bare":
             return 1.0
-        return n if kind == "N" else 1.0 + n
+        en = e * bose_occupation(beta * e) if e > 0.0 else 1.0 / beta
+        return en + e if kind == "1+N" else en
 
-    def f(e):
-        n = bose_occupation(beta * e) if kind != "bare" else 0.0
-        return pref * e**alpha * weight(e, n)
-
-    f_t = f(w_t)
-    n_t, dn_t, d2n_t = _occupation_derivatives(w_t, beta)
-    w0_, dw_, d2w_ = (1.0, 0.0, 0.0) if kind == "bare" else (
-        (n_t, dn_t, d2n_t) if kind == "N" else (1.0 + n_t, dn_t, d2n_t))
-    # analytic f', f'' at the pole for the near-pole Taylor guard
-    fp = pref * (alpha * w_t**(alpha - 1.0) * w0_ + w_t**alpha * dw_)
-    fpp = pref * (alpha * (alpha - 1.0) * w_t**(alpha - 2.0) * w0_
-                  + 2.0 * alpha * w_t**(alpha - 1.0) * dw_ + w_t**alpha * d2w_)
-    guard = 1e-7 * params.omega0
-
-    def regular(e):
-        d = e - w_t
-        if abs(d) < guard:
-            return fp + 0.5 * fpp * d
-        return (f(e) - f_t) / d
-
-    split_head = kind != "bare" and alpha < 1.0
-    lower = min(w_t / 2.0, params.omega0) if split_head else 0.0
-    total = 0.0
-    if split_head:
-        # ∫₀^c f/(ε−ω_t) dε via u = ε^α; the map turns ε^{α−1}N(ε) regular
-        c_head = pref / alpha
-
-        def head_integrand(u):
-            e = u ** (1.0 / alpha)
-            s = e * bose_occupation(beta * e) if e > 0.0 else 1.0 / beta
-            if kind == "1+N":
-                s = s + e
-            return c_head * s / (e - w_t)
-
-        head, _ = quad(head_integrand, 0.0, lower**alpha,
-                       epsabs=_PV_EPSABS, epsrel=1e-12, limit=200)
-        # subtracted constant over the pole-free head, integrated exactly
-        total += head - f_t * math.log((w_t - lower) / w_t)
-        reg, _ = quad(regular, lower, wc, points=[w_t],
-                      epsabs=_PV_EPSABS, epsrel=1e-12, limit=400)
-    else:
-        reg, _ = quad(regular, 0.0, wc, points=[w_t],
-                      epsabs=_PV_EPSABS, epsrel=1e-12, limit=400)
-    total += reg + f_t * math.log((wc - w_t) / w_t)
-    return total
+    tol = dict(epsabs=_PV_EPSABS, epsrel=1e-12, limit=200)
+    head, _ = quad(lambda e: smooth(e) / (e - w_t), 0.0, split,
+                   weight="alg", wvar=(power, 0.0), **tol)
+    tail, _ = quad(lambda e: e**power * smooth(e), split, wc,
+                   weight="cauchy", wvar=w_t, **tol)
+    return pref * (head + tail)
 
 
 def secular_filter(delta_t, g: float) -> np.ndarray:
@@ -264,24 +223,21 @@ class CoefficientSet:
         γ_{σσ'} = (γ_{σσ}+γ_{σ'σ'})/2 + i(η_{σσ}−η_{σ'σ'}),
         η_{σσ'} = −i(γ_{σσ}−γ_{σ'σ'})/4 + (η_{σσ}+η_{σ'σ'})/2.
 
-    ``s_offdiag`` is the off-diagonal filter value implied by the delta_t
-    of the parameters; generators may override it.
+    The eigenfrequencies ω± and the A-mode constants κ(ω0), N(ω0) and δω_A
+    feed the local scheme; ``s_offdiag`` is the off-diagonal filter value
+    implied by the delta_t of the parameters, which generators may override.
+    Rates and occupations at ω± live in the γ diagonals, and the eigenmode
+    Lamb shifts in the η diagonals.
     """
 
     omega_plus: float
     omega_minus: float
-    kappa_plus: float
-    kappa_minus: float
-    n_occ_plus: float
-    n_occ_minus: float
     kappa_omega0: float
     n_occ_omega0: float
     gamma1: np.ndarray
     gamma2: np.ndarray
     eta1: np.ndarray
     eta2: np.ndarray
-    delta_omega_plus: float
-    delta_omega_minus: float
     delta_omega_a: float
     s_offdiag: float
 
@@ -293,16 +249,16 @@ class CoefficientSet:
 
 
 def dissipator_coefficients(params: ModelParams, *, lamb_shift: bool = True) -> CoefficientSet:
-    """Build the full γ/η tensors and frequency shifts for ``params``.
+    """Build the full γ/η tensors and the local Lamb shift for ``params``.
 
     Diagonals: γ^(1)_{σσ} = ½κ(ω_σ)N(ω_σ), γ^(2)_{σσ} = ½κ(ω_σ)[1+N(ω_σ)],
     η^(1)_{σσ} = +½ P∫ κN/2π/(ε−ω_σ), η^(2)_{σσ} = −½ P∫ κ(1+N)/2π/(ε−ω_σ).
-    Off-diagonals via the reconstruction identities; δω_σ = η^(1)+η^(2)
-    diagonal sums; δω_A is the bare principal value at ω0 with the local
-    sign convention δω_A = (1/2π)P∫ κ(ω)/(ω0−ω) dω.
+    Off-diagonals via the reconstruction identities; the eigenmode shifts
+    are δω_σ = Re(η^(1)+η^(2))_{σσ}. δω_A is the bare principal value at ω0
+    with the local sign convention δω_A = (1/2π)P∫ κ(ω)/(ω0−ω) dω.
 
-    With ``lamb_shift=False`` every η (and hence every δω) is set to zero,
-    which also makes the off-diagonal γ real.
+    With ``lamb_shift=False`` every η and δω_A is set to zero, which also
+    makes the off-diagonal γ real.
     """
     w_sigma = (params.omega_plus, params.omega_minus)
     kap = tuple(float(spectral_density(w, params)) for w in w_sigma)
@@ -323,10 +279,9 @@ def dissipator_coefficients(params: ModelParams, *, lamb_shift: bool = True) -> 
             g_[s, t] = 0.5 * (g_[s, s] + g_[t, t]) + 1j * (e_[s, s] - e_[t, t])
             e_[s, t] = -0.25j * (g_[s, s] - g_[t, t]) + 0.5 * (e_[s, s] + e_[t, t])
 
-    delta_omega = [float((eta1[s, s] + eta2[s, s]).real) for s in (_P, _M)]
     delta_omega_a = -pv_integral("bare", params.omega0, params) if lamb_shift else 0.0
 
-    if isinstance(params.delta_t, str):  # SATURATING
+    if params.delta_t == SATURATING:
         s_off = cp_bound_from_tensors(gamma1, gamma2)
     else:
         s_off = secular_filter(params.delta_t, params.g)[0, 1]
@@ -334,18 +289,12 @@ def dissipator_coefficients(params: ModelParams, *, lamb_shift: bool = True) -> 
     return CoefficientSet(
         omega_plus=params.omega_plus,
         omega_minus=params.omega_minus,
-        kappa_plus=kap[_P],
-        kappa_minus=kap[_M],
-        n_occ_plus=occ[_P],
-        n_occ_minus=occ[_M],
         kappa_omega0=params.kappa0,
         n_occ_omega0=params.n_occupation_omega0,
         gamma1=gamma1,
         gamma2=gamma2,
         eta1=eta1,
         eta2=eta2,
-        delta_omega_plus=delta_omega[_P],
-        delta_omega_minus=delta_omega[_M],
         delta_omega_a=delta_omega_a,
         s_offdiag=float(s_off),
     )

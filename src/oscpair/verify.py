@@ -23,7 +23,7 @@ from .gaussian import gaussian_fidelity
 from .moments import VACUUM, MomentState, Scheme, Trajectory, propagate
 from .params import ModelParams, bose_occupation
 from .runner import resolve_scheme
-from .spectral import dissipator_coefficients
+from .spectral import cp_threshold, dissipator_coefficients
 
 _SCHEME_CYCLE = ("local", "global", "cg_redfield")
 _OCCUPANCY_BUDGET = 0.35
@@ -46,8 +46,7 @@ def _cutoff_for(n_scale: float) -> int:
     # smallest d whose thermal edge population stays well under the 1e-6 monitor
     n_eff = 1.2 * n_scale + 0.05
     q = n_eff / (n_eff + 1.0)
-    d = 2 + math.ceil(math.log(1e-7 * (1.0 - q)) / math.log(q))
-    return max(8, d)
+    return 2 + math.ceil(math.log(1e-7 * (1.0 - q)) / math.log(q))
 
 
 def draw_case(rng: np.random.Generator) -> EquivalenceCase:
@@ -60,7 +59,6 @@ def draw_case(rng: np.random.Generator) -> EquivalenceCase:
     scheme = _SCHEME_CYCLE[int(rng.integers(0, len(_SCHEME_CYCLE)))]
     s = None
     if scheme == "cg_redfield":
-        from .spectral import cp_threshold
         s = float(rng.uniform(0.3, 1.0)) * cp_threshold(params).bound
 
     # cap the accumulated occupation so a modest cutoff certifies the run

@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from oscpair import (CoefficientSet, ConsistencyError, DomainError, ModelParams, MomentState,
-                     PropagationError, Trajectory, bath_modes, bose_factor, pv_integral)
+                     PropagationError, Trajectory, bath_modes, bose_factor, pv_integral,
+                     spectral_density)
 from oscpair.exact import FullModel
 
 #: symplectic form in the ladder ordering (γ₊, γ₊†, γ₋, γ₋†); iΞ = diag(1,−1,1,−1)
@@ -186,13 +187,15 @@ def symplectic_spectrum(sigma, omega: np.ndarray) -> np.ndarray:
     return np.sort(ev[ev > 0.0])
 
 
-def global_closed_form(coeffs: CoefficientSet, times) -> Trajectory:
+def global_closed_form(params: ModelParams, times) -> Trajectory:
     """Analytic global-scheme moments from the ground state:
     n±(t) = N(ω±)(1 − e^{−κ(ω±)t/2}), cross ≡ 0."""
     times = np.asarray(times, dtype=float)
-    n_p = coeffs.n_occ_plus * (1.0 - np.exp(-0.5 * coeffs.kappa_plus * times))
-    n_m = coeffs.n_occ_minus * (1.0 - np.exp(-0.5 * coeffs.kappa_minus * times))
-    return Trajectory(times, n_p, n_m, np.zeros_like(times, dtype=complex))
+    n_pm = []
+    for w in (params.omega_plus, params.omega_minus):
+        kappa, occ = spectral_density(w, params), bose_factor(w, params.beta)
+        n_pm.append(occ * (1.0 - np.exp(-0.5 * kappa * times)))
+    return Trajectory(times, *n_pm, np.zeros_like(times, dtype=complex))
 
 
 def local_closed_form(coeffs: CoefficientSet, times) -> Trajectory:

@@ -31,6 +31,16 @@ def test_run_starts_at_zero_and_reruns_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_csv_cells_are_17_significant_digits(tmp_path):
+    # round-trip text for every float, including the signed zero and non-finite values
+    values = np.array([0.0, -0.0, 0.1, 1e22, 5e-324, np.inf, -np.inf, np.nan])
+    cli._write_csv(tmp_path / "t.csv", ["a", "b"], [values, values[::-1]])
+    lines = (tmp_path / "t.csv").read_text().split("\n")
+    assert lines[0] == "a,b" and lines[-1] == ""
+    assert lines[1:-1] == [f"{x:.17g},{y:.17g}" for x, y in zip(values, values[::-1])]
+    assert lines[2] == "-0,-inf"
+
+
 def test_fidelity_in_unit_interval(tmp_path):
     argv = ["fidelity", "--preset", "fig6", "--grid", "0:300:151:lin", "--out", str(tmp_path)]
     assert main(argv) == 0

@@ -137,6 +137,34 @@ class TestLambdaC:
         assert lambda_c_trajectory(traj).min() < -1e-6
 
 
+class TestCpBoundKeepsStatesPhysical:
+    """λ_c ≥ 0 along CG-Redfield trajectories whenever |s| ≤ the CP bound."""
+
+    #: vacuum start; dense early, where a non-positive generator first shows
+    TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 400.0, 400)])
+
+    def worst_lambda_c(self, coeffs, s):
+        traj = propagate(cg_redfield_generator(coeffs, s), VACUUM, self.TIMES)
+        scale = 1.0 + max(traj.n_plus.max(), traj.n_minus.max())
+        return lambda_c_trajectory(traj).min() / scale
+
+    def test_random_parameters_inside_bound(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(400):
+            p = ModelParams(g=rng.uniform(0.005, 0.6), kappa0=rng.uniform(0.005, 0.2),
+                            alpha=rng.uniform(0.1, 2.0), omega_c=3.0, M=400,
+                            n_omega0=float(np.exp(rng.uniform(np.log(1e-3), np.log(30.0)))))
+            lamb_shift = bool(rng.integers(2))
+            coeffs = dissipator_coefficients(p, lamb_shift=lamb_shift)
+            bound = cp_threshold(p, lamb_shift=lamb_shift).bound
+            for s in (rng.uniform(-bound, bound), bound, -bound):
+                assert self.worst_lambda_c(coeffs, s) >= -1e-12
+
+    def test_plain_redfield_fails_the_same_check(self, coeffs):
+        # negative control: fig4's bound is 0.989, so s = 1 lies outside it
+        assert self.worst_lambda_c(coeffs, 1.0) < -1e-6
+
+
 @pytest.fixture(scope="module")
 def coeffs():
     return dissipator_coefficients(ModelParams(**FIG4))

@@ -6,8 +6,8 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
 from oscpair import (DomainError, MomentState, SteadyStateError, Trajectory, VACUUM,
-                     AffineGenerator, cp_threshold, dissipator_coefficients,
-                     mixture_moments, propagate, steady_state)
+                     AffineGenerator, bose_factor, cp_threshold, dissipator_coefficients,
+                     mixture_moments, propagate, spectral_density, steady_state)
 from oscpair import moments
 from oscpair.moments import cg_redfield_generator, local_generator
 from oscpair.runner import resolve_scheme
@@ -27,22 +27,30 @@ def coeffs(p):
     return dissipator_coefficients(p)
 
 
-def hand_written_cg_redfield(coeffs, s):
+def eigenmode_rates(params):
+    """(κ(ω₊), κ(ω₋)) and (N(ω₊), N(ω₋)) from the parameters."""
+    w = np.array([params.omega_plus, params.omega_minus])
+    return spectral_density(w, params), bose_factor(w, params.beta)
+
+
+def hand_written_cg_redfield(params, coeffs, s):
     """Entry-by-entry (A, b) of the coarse-grained Redfield moment equations."""
     g1, g2, e1, e2 = coeffs.gamma1, coeffs.gamma2, coeffs.eta1, coeffs.eta2
+    (kappa_plus, kappa_minus), (n_occ_plus, n_occ_minus) = eigenmode_rates(params)
+    delta_omega_plus, delta_omega_minus = (e1 + e2).diagonal().real
     p = e1[0, 1] + e2[1, 0]          # multiplies cross in the n± equations
     q = g1[0, 1] - g2[1, 0]
     r = e1[1, 0] + e2[0, 1]          # multiplies n₋−n₊ in the cross equation
     t = g1[1, 0] - g2[0, 1]
     drive = g1[1, 0]
-    delta = (coeffs.omega_plus + coeffs.delta_omega_plus
-             - coeffs.omega_minus - coeffs.delta_omega_minus)
-    decay = 0.25 * (coeffs.kappa_plus + coeffs.kappa_minus)
+    delta = (coeffs.omega_plus + delta_omega_plus
+             - coeffs.omega_minus - delta_omega_minus)
+    decay = 0.25 * (kappa_plus + kappa_minus)
     a = np.zeros((4, 4))
-    a[0, 0] = -0.5 * coeffs.kappa_plus
+    a[0, 0] = -0.5 * kappa_plus
     a[0, 2] = s * (2.0 * p.imag + q.real)
     a[0, 3] = s * (2.0 * p.real - q.imag)
-    a[1, 1] = -0.5 * coeffs.kappa_minus
+    a[1, 1] = -0.5 * kappa_minus
     a[1, 2] = s * (-2.0 * p.imag + q.real)
     a[1, 3] = s * (-2.0 * p.real - q.imag)
     a[2, 0] = s * (r.imag + 0.5 * t.real)
@@ -53,8 +61,8 @@ def hand_written_cg_redfield(coeffs, s):
     a[3, 1] = s * (r.real + 0.5 * t.imag)
     a[3, 2] = delta
     a[3, 3] = -decay
-    b = np.array([0.5 * coeffs.kappa_plus * coeffs.n_occ_plus,
-                  0.5 * coeffs.kappa_minus * coeffs.n_occ_minus,
+    b = np.array([0.5 * kappa_plus * n_occ_plus,
+                  0.5 * kappa_minus * n_occ_minus,
                   s * drive.real, s * drive.imag])
     return a, b
 
@@ -89,25 +97,28 @@ class TestDerivedGenerator:
     @pytest.mark.parametrize("fields", REFERENCE_SETS)
     @pytest.mark.parametrize("lamb_shift", [True, False])
     def test_matches_hand_written_entries(self, fields, lamb_shift):
-        coeffs = dissipator_coefficients(ModelParams(**fields), lamb_shift=lamb_shift)
+        params = ModelParams(**fields)
+        coeffs = dissipator_coefficients(params, lamb_shift=lamb_shift)
         for s in (0.0, 0.3, 1.0):
             self.assert_same(cg_redfield_generator(coeffs, s),
-                             hand_written_cg_redfield(coeffs, s))
+                             hand_written_cg_redfield(params, coeffs, s))
         self.assert_same(local_generator(coeffs), hand_written_local(coeffs))
 
 
 class TestGeneratorStructure:
-    def test_global_block_decouples(self, coeffs):
+    def test_global_block_decouples(self, p, coeffs):
         gen = cg_redfield_generator(coeffs, 0.0)
+        kappa, _ = eigenmode_rates(p)
         # n± relax independently at kappa(omega±)/2 toward N(omega±)
-        assert gen.a[0, 0] == pytest.approx(-0.5 * coeffs.kappa_plus)
-        assert gen.a[1, 1] == pytest.approx(-0.5 * coeffs.kappa_minus)
+        assert gen.a[0, 0] == pytest.approx(-0.5 * kappa[0])
+        assert gen.a[1, 1] == pytest.approx(-0.5 * kappa[1])
         assert np.all(gen.a[:2, 2:] == 0) and np.all(gen.a[2:, :2] == 0)
         assert gen.b[2] == 0 and gen.b[3] == 0
 
-    def test_global_fixed_point_annihilates(self, coeffs):
+    def test_global_fixed_point_annihilates(self, p, coeffs):
         gen = cg_redfield_generator(coeffs, 0.0)
-        x = np.array([coeffs.n_occ_plus, coeffs.n_occ_minus, 0.0, 0.0])
+        _, occ = eigenmode_rates(p)
+        x = np.array([occ[0], occ[1], 0.0, 0.0])
         assert np.abs(gen.a @ x + gen.b).max() < 1e-14
 
     def test_redfield_couples_everything(self, coeffs):
@@ -132,10 +143,10 @@ class TestPropagate:
         assert np.abs(traj.n_plus - ss.n_plus).max() < 1e-10
         assert np.abs(traj.cross).max() < 1e-12
 
-    def test_global_matches_closed_form(self, coeffs):
+    def test_global_matches_closed_form(self, p, coeffs):
         times = np.linspace(0.0, 300.0, 601)
         traj = propagate(cg_redfield_generator(coeffs, 0.0), VACUUM, times)
-        ref = global_closed_form(coeffs, times)
+        ref = global_closed_form(p, times)
         assert np.abs(traj.n_plus - ref.n_plus).max() < 1e-10
         assert np.abs(traj.n_minus - ref.n_minus).max() < 1e-10
         assert np.abs(traj.cross).max() < 1e-12
@@ -185,10 +196,11 @@ class TestPropagate:
 
 
 class TestSteadyStates:
-    def test_global(self, coeffs):
+    def test_global(self, p, coeffs):
         ss = steady_state(cg_redfield_generator(coeffs, 0.0))
-        assert ss.n_plus == pytest.approx(coeffs.n_occ_plus, rel=1e-12)
-        assert ss.n_minus == pytest.approx(coeffs.n_occ_minus, rel=1e-12)
+        _, occ = eigenmode_rates(p)
+        assert ss.n_plus == pytest.approx(occ[0], rel=1e-12)
+        assert ss.n_minus == pytest.approx(occ[1], rel=1e-12)
         assert abs(ss.cross) < 1e-15
 
     def test_local_thermalizes_both_modes_at_omega0(self, coeffs):

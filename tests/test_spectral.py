@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,7 +25,8 @@ class TestParams:
             p = params(n_omega0=None, beta=1e4)
             assert p.n_occupation_omega0 == 0.0
             coeffs = dissipator_coefficients(p)
-        assert coeffs.n_occ_plus == 0.0 and coeffs.n_occ_minus == 0.0
+        # γ^(1)_{σσ} = ½κ(ω_σ)N(ω_σ) with κ(ω_σ) > 0
+        assert coeffs.gamma1[0, 0] == 0.0 and coeffs.gamma1[1, 1] == 0.0
 
     def test_temperature_round_trip(self):
         p = params(n_omega0=10.0)
@@ -207,7 +209,52 @@ def pv_oracle(kind, w_t, p, delta=1e-3):
     return 2 * i2 - i1  # removes the O(delta) term
 
 
+def pv_mpmath(kind, w_t, p):
+    """25-digit PV reference: u = ε^α on [0, ω_t/2], subtraction above it.
+
+    The head ∫₀^{ω_t/2} f/(ε−ω_t) dε becomes (pref/α)∫ εw(ε)/(ε−ω_t) du with
+    ε = u^{1/α}, regular at u = 0; the rest subtracts f(ω_t) and integrates
+    the removable singularity with a breakpoint at the pole.
+    """
+    with mp.workdps(25):
+        k0, w0, wc, a, beta = (mp.mpf(x) for x in (p.kappa0, p.omega0, p.omega_c,
+                                                   p.alpha, p.beta))
+        wt = mp.mpf(w_t)
+        pref = k0 / (2 * mp.pi * w0**a)
+
+        def e_weight(e):  # ε·w(ε), finite at ε = 0
+            if kind == "bare":
+                return e
+            en = 1 / beta if e == 0 else e / mp.expm1(beta * e)
+            return en if kind == "N" else en + e
+
+        def f(e):
+            return pref * e ** (a - 1) * e_weight(e)
+
+        lower = wt / 2
+        head = mp.quad(lambda u: pref / a * e_weight(u ** (1 / a)) / (u ** (1 / a) - wt),
+                       [0, lower**a])
+        f_t = f(wt)
+        body = mp.quad(lambda e: 0 if e == wt else (f(e) - f_t) / (e - wt), [lower, wt, wc])
+        return float(head + body + f_t * mp.log((wc - wt) / (wt - lower)))
+
+
 class TestPvIntegral:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0])
+    def test_against_mpmath(self, alpha):
+        # β = 1e4 puts the whole N-weighted integral, ≈ −κ0π/(12β²ω_t) at α = 1,
+        # inside ε ≲ 1e-3; it must not be lost to the absolute tolerance
+        hot = params(alpha=alpha)
+        # the bare integral does not depend on the temperature
+        bare = {w_t: pv_mpmath("bare", w_t, hot) for w_t in (hot.omega_plus, hot.omega_minus)}
+        for p in (hot, params(alpha=alpha, n_omega0=0.01),
+                  params(alpha=alpha, n_omega0=None, beta=1e4)):
+            for w_t in (p.omega_plus, p.omega_minus):
+                for kind in ("N", "1+N"):
+                    assert pv_integral(kind, w_t, p) == pytest.approx(
+                        pv_mpmath(kind, w_t, p), rel=0, abs=1e-13)
+                assert pv_integral("bare", w_t, p) == pytest.approx(bare[w_t], rel=0, abs=1e-13)
+
     def test_ohmic_bare_closed_form(self):
         # antiderivative of omega/(omega0-omega): -omega - omega0*ln|omega0-omega|
         p = params()
@@ -258,6 +305,11 @@ class TestSecularFilter:
             secular_filter("saturating", 0.3)
 
 
+def eigenmode_shifts(c):
+    """Lamb shifts δω± = Re(η^(1) + η^(2))_{σσ} of the eigenmodes."""
+    return (c.eta1 + c.eta2).diagonal().real
+
+
 class TestCoefficients:
     def test_degenerate_coupling_collapses_offdiagonals(self):
         c = dissipator_coefficients(params(g=0.0))
@@ -266,15 +318,16 @@ class TestCoefficients:
             assert arr[1, 0] == pytest.approx(arr[1, 1], rel=1e-12)
 
     def test_stimulated_vs_spontaneous_difference(self):
-        c = dissipator_coefficients(params())
+        p = params()
+        c = dissipator_coefficients(p)
         assert (c.gamma2[0, 0] - c.gamma1[0, 0]).real == pytest.approx(
-            0.5 * c.kappa_plus, rel=1e-12)
+            0.5 * spectral_density(p.omega_plus, p), rel=1e-12)
         assert (c.gamma2[1, 1] - c.gamma1[1, 1]).real == pytest.approx(
-            0.5 * c.kappa_minus, rel=1e-12)
+            0.5 * spectral_density(p.omega_minus, p), rel=1e-12)
 
     def test_lamb_shift_splitting(self):
-        c = dissipator_coefficients(params())
-        assert c.delta_omega_plus != pytest.approx(c.delta_omega_minus, abs=1e-6)
+        delta_plus, delta_minus = eigenmode_shifts(dissipator_coefficients(params()))
+        assert delta_plus != pytest.approx(delta_minus, abs=1e-6)
 
     def test_diagonals_real_nonnegative(self):
         c = dissipator_coefficients(params())
@@ -294,11 +347,11 @@ class TestCoefficients:
 
     def test_secular_shift_equals_bare_pv(self):
         p = params()
-        c = dissipator_coefficients(p)
+        delta_plus, delta_minus = eigenmode_shifts(dissipator_coefficients(p))
         # eta1+eta2 diagonal sums collapse to -1/2 the bare principal value
-        assert c.delta_omega_plus == pytest.approx(
+        assert delta_plus == pytest.approx(
             -0.5 * pv_integral("bare", p.omega_plus, p), abs=1e-9)
-        assert c.delta_omega_minus == pytest.approx(
+        assert delta_minus == pytest.approx(
             -0.5 * pv_integral("bare", p.omega_minus, p), abs=1e-9)
 
     def test_lamb_shift_off_zeroes_pv_content(self):
@@ -306,7 +359,7 @@ class TestCoefficients:
         # the principal-value diagonals and every frequency shift vanish ...
         assert c.eta1[0, 0] == 0 and c.eta1[1, 1] == 0
         assert c.eta2[0, 0] == 0 and c.eta2[1, 1] == 0
-        assert c.delta_omega_plus == 0 and c.delta_omega_minus == 0
+        assert np.all(eigenmode_shifts(c) == 0)
         assert c.delta_omega_a == 0
         # ... while the dissipative part of the off-diagonals survives
         assert c.gamma1[0, 1].imag == 0
