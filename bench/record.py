@@ -1,4 +1,5 @@
-"""Layer timings of the Fock oracle and its accuracy delta between two source trees.
+"""Layer timings of the exact model and the Fock oracle, and their accuracy delta
+between two source trees.
 
     python3 bench/record.py --src SRC [--against OTHER_SRC] [--out BENCH_N.json]
 
@@ -6,6 +7,10 @@
 this repository, typically a change and its parent. Each measurement runs in
 a fresh worker process that imports ``oscpair`` from one tree only:
 
+- ``exact_trajectory`` at the headline parameters (fig4) with M = 50, 100,
+  200, 400, 800, 1600 and 4000 on the 1501-point grid 0:300;
+- ``oscpair sweep --axis M --values 100,200,400,800`` with the exact, global,
+  local and mixture schemes on 101 points (the benchmark's ``bath_sweep``);
 - ``thermal_product_state`` and ``fidelity_truncated`` at cutoffs d = 14, 20, 40;
 - ``lindblad_propagate`` of the global scheme from the vacuum to t = 40
   (five output times) at d = 14, 20, 40;
@@ -16,9 +21,12 @@ Each is repeated ``--repeats`` times inside its worker; a worker that exceeds
 ``--timeout`` seconds is stopped and its finished repeats are kept, with the
 limit recorded. Besides the times, every repeat records its outputs (moments,
 fidelities, the verify reports, the spot check's summary), and the record
-gives the largest absolute difference of each output between the two trees:
-the accuracy delta of the change. Machine, libraries, BLAS and its thread
-settings come from ``perfbench/provenance.py``.
+gives the largest absolute difference of its outputs between the two trees:
+the accuracy delta of the change. Outputs longer than ``MAX_STORED`` values
+(trajectories, the sweep's CSVs) enter the delta but not the record. A case's
+``size`` is the cutoff d of a Fock case and the bath size M of an exact case.
+Machine, libraries, BLAS and its thread settings come from
+``perfbench/provenance.py``.
 """
 
 from __future__ import annotations
@@ -37,10 +45,17 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 CUTOFFS = (14, 20, 40)
+BATH_SIZES = (50, 100, 200, 400, 800, 1600, 4000)
+#: the headline parameters (fig4) at which exact_trajectory is timed
+EXACT_PARAMS = dict(n_omega0=10.0, g=0.3, kappa0=0.04, omega_c=3.0, alpha=1.0)
+SWEEP_ARGV = ["sweep", "--axis", "M", "--values", "100,200,400,800",
+              "--set", "schemes=exact,global,local,mixture", "--grid", "0:300:101:lin"]
+MAX_STORED = 64
 #: the oracle workload's cost class: global scheme, N(omega0) >= 0.16, kappa0 in [0.04, 0.05)
 PARAMS = dict(g=0.2, kappa0=0.045, alpha=1.0, n_omega0=0.3)
 OCCUPATIONS = ((0.3, 0.2), (0.2, 0.25))   # certified by d = 14 under the 1e-8 tail rule
-CASES = ([("thermal_product_state", d) for d in CUTOFFS]
+CASES = ([("exact_trajectory", m) for m in BATH_SIZES] + [("sweep_M", None)]
+         + [("thermal_product_state", d) for d in CUTOFFS]
          + [("fidelity_truncated", d) for d in CUTOFFS]
          + [("lindblad_propagate", d) for d in CUTOFFS]
          + [("verify_draws3_seed3", None), ("run_fig9b_oracle", None)])
@@ -51,26 +66,45 @@ def _moments(fock, state) -> list[float]:
     return [mom.n_plus, mom.n_minus, mom.cross.real, mom.cross.imag]
 
 
-def _run_case(op: str, d: int | None):
+def _run_case(op: str, size: int | None):
     """Run one measurement in this process; returns (seconds, outputs)."""
     import numpy as np
-    from oscpair import cli, fock, verify
+    from oscpair import cli, exact_trajectory, fock, verify
     from oscpair.params import ModelParams
     from oscpair.runner import resolve_scheme
     from oscpair.spectral import dissipator_coefficients
 
+    if op == "exact_trajectory":
+        params = ModelParams(**EXACT_PARAMS, M=size)
+        times = np.linspace(0.0, 300.0, 1501)
+        start = time.perf_counter()
+        run = exact_trajectory(params, times)
+        elapsed = time.perf_counter() - start
+        traj = run.trajectory
+        columns = [traj.n_plus, traj.n_minus, traj.cross.real, traj.cross.imag, *run.energies.T]
+        return elapsed, np.concatenate(columns).tolist()
+    if op == "sweep_M":
+        with tempfile.TemporaryDirectory() as out:
+            start = time.perf_counter()
+            code = cli.main(SWEEP_ARGV + ["--out", out])
+            elapsed = time.perf_counter() - start
+            values = [np.loadtxt(path, delimiter=",", skiprows=1).ravel()
+                      for path in sorted(Path(out).rglob("*.csv"))]
+        if code != 0:
+            raise RuntimeError(f"sweep exited {code}")
+        return elapsed, np.concatenate(values).tolist()
     if op == "thermal_product_state":
         start = time.perf_counter()
-        state = fock.thermal_product_state(*OCCUPATIONS[0], d)
+        state = fock.thermal_product_state(*OCCUPATIONS[0], size)
         return time.perf_counter() - start, _moments(fock, state)
     if op == "fidelity_truncated":
-        states = [fock.thermal_product_state(*occ, d) for occ in OCCUPATIONS]
+        states = [fock.thermal_product_state(*occ, size) for occ in OCCUPATIONS]
         start = time.perf_counter()
         value = fock.fidelity_truncated(*states)
         return time.perf_counter() - start, [value]
     if op == "lindblad_propagate":
         scheme = resolve_scheme("global", dissipator_coefficients(ModelParams(**PARAMS)))
-        vacuum = fock.thermal_product_state(0.0, 0.0, d)
+        vacuum = fock.thermal_product_state(0.0, 0.0, size)
         start = time.perf_counter()
         states = fock.lindblad_propagate(scheme, vacuum, np.linspace(0.0, 40.0, 5))
         return time.perf_counter() - start, [x for st in states for x in _moments(fock, st)]
@@ -91,7 +125,7 @@ def _run_case(op: str, d: int | None):
     raise ValueError(f"unknown case {op!r}")
 
 
-def _worker(src: str, op: str, d: int | None, repeats: int) -> None:
+def _worker(src: str, op: str, size: int | None, repeats: int) -> None:
     sys.path.insert(0, src)
     import oscpair
 
@@ -99,15 +133,15 @@ def _worker(src: str, op: str, d: int | None, repeats: int) -> None:
         raise RuntimeError(f"imported oscpair from {oscpair.__file__}, not from {src}")
     for _ in range(repeats):
         with contextlib.redirect_stdout(sys.stderr):  # stdout carries the records
-            seconds, outputs = _run_case(op, d)
+            seconds, outputs = _run_case(op, size)
         print(json.dumps({"seconds": seconds, "outputs": outputs}), flush=True)
 
 
-def _measure(src: Path, op: str, d: int | None, repeats: int, timeout: float) -> dict:
+def _measure(src: Path, op: str, size: int | None, repeats: int, timeout: float) -> dict:
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker",
             "--src", str(src.resolve()), "--op", op, "--repeats", str(repeats)]
-    if d is not None:
-        argv += ["--d", str(d)]
+    if size is not None:
+        argv += ["--size", str(size)]
     with tempfile.TemporaryFile("w+") as log:
         proc = subprocess.Popen(argv, stdout=log, cwd=tempfile.gettempdir())
         try:
@@ -169,10 +203,10 @@ def main(argv=None) -> int:
                         help="seconds allowed to one worker (all repeats of one case)")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--op", help=argparse.SUPPRESS)
-    parser.add_argument("--d", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--size", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        _worker(args.src, args.op, args.d, args.repeats)
+        _worker(args.src, args.op, args.size, args.repeats)
         return 0
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -194,16 +228,21 @@ def main(argv=None) -> int:
         "timeout_s": args.timeout,
         "cases": [],
     }
-    for op, d in CASES:
-        entry = {"op": op, "d": d}
+    for op, size in CASES:
+        entry = {"op": op, "size": size}
         for name, src in trees.items():
-            entry[name] = _measure(src, op, d, args.repeats, args.timeout)
-            print(f"{op} d={d} {name}: {entry[name].get('median_s', math.nan):.4g} s"
+            entry[name] = _measure(src, op, size, args.repeats, args.timeout)
+            print(f"{op} size={size} {name}: {entry[name].get('median_s', math.nan):.4g} s"
                   + (" (timed out)" if "timed_out_after_s" in entry[name] else ""),
                   file=sys.stderr, flush=True)
         if "against" in trees:
             entry["max_abs_delta"] = _max_delta(entry["src"]["outputs"],
                                                 entry["against"]["outputs"])
+        for name in trees:
+            outputs = entry[name]["outputs"]
+            if outputs is not None and len(outputs) > MAX_STORED:
+                entry[name]["outputs"] = None
+                entry[name]["n_outputs"] = len(outputs)
         record["cases"].append(entry)
 
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"

@@ -3,11 +3,13 @@
 ℋ has equal x–x and p–p couplings, so the Hamiltonian is passive:
 H = Σ h_ij a_i†a_j (+ const) over the M+2 modes (A, B, c_1…c_M), with h a
 real symmetric arrowhead. :func:`exact_trajectory` works in that mode space:
-one real (M+2)² ``eigh``, then for each block of times one matrix product
-gives the rows of the propagator that the system moments and the four energy
-components need. Every time point is independent (no stepping error), and
-the propagator is written as U(t) = I + V diag(expm1(−iλt)) Vᵀ, so the
-t = 0 output is the initial state exactly.
+one real (M+2)² ``eigh`` and one occupation-weighted Gram matrix of the
+eigenvectors' bath rows, then for each block of times one matrix product
+with that Gram matrix gives the system moments and the coupling energy. The
+bath energy follows from energy conservation. Every time point is
+independent (no stepping error), and the propagator is written as
+U(t) = I + V diag(expm1(−iλt)) Vᵀ, so the t = 0 output is the initial state
+exactly.
 
 :func:`build_full_model` assembles the same model on the 2M+4 canonical
 coordinates and diagonalizes 𝓜 = iΩℋ. No output of the program goes through
@@ -125,20 +127,23 @@ def exact_trajectory(params: ModelParams, times) -> ExactRun:
     """System moments (and energy split) of the exact model on a time grid.
 
     The model is diagonalized in mode space, h = VΛVᵀ, and the mode
-    operators evolve as a(t) = U(t)a with U = I + V diag(expm1(−iλt)) Vᵀ,
-    so U(0) = I exactly. A and B start in the vacuum and bath mode l with
-    occupation n_l = N(ω_l), hence ⟨a_i†a_j⟩(t) = Σ_l conj(U_il) U_jl n_l
-    over bath modes l only, where the rows of A and B equal those of U − I.
-    The rows of U − I for A and B and the γ-weighted bath row Σ_k γ_k U_k·
-    are one GEMM per block of times; from them
+    operators evolve as a(t) = U(t)a with U = I + V diag(d) Vᵀ,
+    d = expm1(−iλt), so U(0) = I exactly. A and B start in the vacuum and
+    bath mode k with occupation N_k = N(ω_k), hence
+    ⟨a_i†a_j⟩(t) = Σ_k conj(U_ik) U_jk N_k, where the bath columns of the A
+    and B rows of U are (r_i∘d) V_bathᵀ with r_i the row of V. With the
+    occupation-weighted Gram matrix G = V_bathᵀ diag(N) V_bath and
+    x_i = r_i∘d this is ⟨a_i†a_j⟩ = x_i†G x_j: one real product
+    [x_A; x_B] G per block of times (real and imaginary parts stacked) gives
 
         ⟨a†a⟩, ⟨b†b⟩, ⟨ab†⟩ → n±, ⟨γ₋γ₊†⟩ (:func:`from_ab_basis`),
-        E_s0 = ω0(⟨a†a⟩+⟨b†b⟩), E_sg = 2g Re⟨a†b⟩, E_1 = 2 Re⟨a†Σγ_k c_k⟩.
+        E_s0 = ω0(⟨a†a⟩+⟨b†b⟩), E_sg = 2g Re⟨a†b⟩,
+        E_1 = 2 Re⟨a†Σγ_k c_k⟩ = 2 Re(x_A†z + x_A†G x_γ),
 
-    E_E = Σ_k ω_k(⟨c_k†c_k⟩(t) − n_k) is the eigenbasis quadratic form
-    2Re(a·d) + d†Cd in d = expm1(−iλt), with C = (VᵀΩ_EV)∘(VᵀNV) and
-    a = 1ᵀC; it is not inferred from energy conservation. At t = 0, d
-    vanishes and every output is exactly zero.
+    with z = V_bathᵀ(N∘γ) and x_γ = (γᵀV_bath)∘d. The total Hamiltonian is
+    conserved and all four components vanish at t = 0, so the bath energy is
+    E_E = −(E_s0 + E_sg + E_1). At t = 0, d vanishes and every output is
+    exactly zero.
     """
     times = np.asarray(times, dtype=float)
     h, omega_k, gamma_k = _mode_hamiltonian(params)
@@ -148,40 +153,67 @@ def exact_trajectory(params: ModelParams, times) -> ExactRun:
         raise PropagationError(
             f"eigendecomposition failed (size {h.shape[0]}, cond(h) ~ "
             f"{np.linalg.cond(h):.2e})") from exc
-    residual = np.abs(h @ v - v * lam).max()
-    if residual > 1e-12 * np.abs(h).max():
+    del h
+    # h V − VΛ from the arrowhead rows, in one n × n buffer
+    res = np.subtract.outer(np.concatenate([[params.omega0] * 2, omega_k]), lam)
+    res *= v
+    res[0] += params.g * v[1] + gamma_k @ v[2:]
+    res[1] += params.g * v[0]
+    res[2:] += np.multiply.outer(gamma_k, v[0])
+    residual = np.abs(res, out=res).max()
+    del res
+    h_max = max(abs(params.omega0), abs(params.g), gamma_k.max(), omega_k.max())
+    if residual > 1e-12 * h_max:
         raise ConsistencyError(f"eigendecomposition residual {residual:.2e} of h")
 
     occ = bose_factor(omega_k, params.beta)
-    v_bath = v[2:, :]
-    rows = np.array([v[0], v[1], gamma_k @ v_bath])
-    c_form = ((v_bath.T * omega_k) @ v_bath) * ((v_bath.T * occ) @ v_bath)
-    a_form = c_form.sum(axis=0)
+    rows = v[:2].copy()                                        # r_A, r_B
+    weights = np.column_stack([rows[0], rows[1], gamma_k @ v[2:]])  # r_A, r_B, r_γ
+    rz_a = rows[0] * ((occ * gamma_k) @ v[2:])                 # r_A∘z
+    v_bath = v[2:]
+    v_bath *= np.sqrt(occ)[:, None]  # in place: v is not read again
+    gram = v_bath.T @ v_bath
+    del v, v_bath
 
-    n_t = times.size
+    n_t, n = times.size, lam.size
     aa = np.empty(n_t)
     bb = np.empty(n_t)
     ab_dag = np.empty(n_t, dtype=complex)
     energies = np.empty((n_t, 4))
+    # block buffers, allocated once per call: a fresh set per block would pay
+    # its page faults again in every block
+    size = min(_BLOCK, n_t) * n
+    buf_theta, buf_d, buf_x, buf_xg = (np.empty(m * size) for m in (1, 2, 4, 4))
     for lo in range(0, n_t, _BLOCK):
-        sl = slice(lo, lo + _BLOCK)
-        theta = np.multiply.outer(times[sl], lam)
+        k = min(_BLOCK, n_t - lo)
+        sl = slice(lo, lo + k)
+        theta = buf_theta[:k * n].reshape(k, n)
+        d = buf_d[:2 * k * n].reshape(2, k, n)
+        x = buf_x[:4 * k * n].reshape(4, k, n)
+        xg = buf_xg[:4 * k * n].reshape(4, k, n)
+        np.multiply.outer(times[sl], lam, out=theta)
         # real and imaginary parts of expm1(−iθ) = −2sin²(θ/2) − i sin θ
-        d = np.stack([-2.0 * np.sin(0.5 * theta) ** 2, -np.sin(theta)])
-        # rows of U − I on the bath columns, (row ∘ d) V_bathᵀ: [row, re/im, t, l]
-        u = ((rows[:, None, None, :] * d).reshape(-1, lam.size) @ v_bath.T
-             ).reshape(3, 2, theta.shape[0], -1)
-        (a_re, a_im), (b_re, b_im), (g_re, g_im) = u
-        aa[sl] = (a_re**2 + a_im**2) @ occ
-        bb[sl] = (b_re**2 + b_im**2) @ occ
-        # ⟨ab†⟩ = conj⟨a†b⟩ with ⟨a†b⟩ = Σ_l conj(U_Al) U_Bl n_l
-        re_ab = (a_re * b_re + a_im * b_im) @ occ
-        ab_dag[sl] = re_ab - 1j * ((a_re * b_im - a_im * b_re) @ occ)
-        quad = np.einsum("sij,sij->i", (d.reshape(-1, lam.size) @ c_form).reshape(d.shape), d)
+        np.sin(theta, out=d[1])
+        np.negative(d[1], out=d[1])
+        theta *= 0.5
+        np.sin(theta, out=d[0])
+        np.square(d[0], out=d[0])
+        d[0] *= -2.0
+        # x = [x_A,re; x_A,im; x_B,re; x_B,im] with x_i = r_i∘d, and xG
+        np.multiply(rows[:, None, None, :], d, out=x.reshape(2, 2, k, n))
+        np.matmul(x.reshape(-1, n), gram, out=xg.reshape(-1, n))
+        # Re conj(x_A G)∘d, summed against r_A, r_B and r_γ
+        sums = np.einsum("stl,stl->tl", xg[:2], d, out=theta) @ weights
+        aa[sl] = sums[:, 0]
+        re_ab = sums[:, 1]
+        bb[sl] = np.einsum("stl,stl->t", xg[2:], x[2:])
+        # Im⟨a†b⟩ = x_A,reᵀG x_B,im − x_A,imᵀG x_B,re; ⟨ab†⟩ = conj⟨a†b⟩
+        im_ab = np.einsum("tl,tl->t", xg[0], x[3]) - np.einsum("tl,tl->t", xg[1], x[2])
+        ab_dag[sl] = re_ab - 1j * im_ab
         energies[sl, 0] = params.omega0 * (aa[sl] + bb[sl])
         energies[sl, 1] = 2.0 * params.g * re_ab
-        energies[sl, 2] = 2.0 * ((a_re * (gamma_k + g_re) + a_im * g_im) @ occ)
-        energies[sl, 3] = 2.0 * (d[0] @ a_form) + quad
+        energies[sl, 2] = 2.0 * (d[0] @ rz_a + sums[:, 2])
+    energies[:, 3] = 0.0 - energies[:, :3].sum(axis=1)  # +0.0, not −0.0, at t = 0
     state = from_ab_basis(aa, bb, ab_dag)
     traj = Trajectory(times, state.n_plus, state.n_minus, state.cross)
     return ExactRun(traj, energies)

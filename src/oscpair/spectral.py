@@ -86,9 +86,9 @@ def correlation_function(kind: int, tau, params: ModelParams):
     return complex(out) if out.ndim == 0 else out
 
 
-#: grid points per envelope evaluation in memory_time; the half-maximum
-#: crossing of the presets lies within the first block
-_SCAN_BLOCK = 512
+#: grid points in memory_time's first envelope block; each further block is
+#: twice as long as the one before, so a crossing at index i costs O(i) points
+_SCAN_FIRST = 64
 #: bisection stops once the bracket on τ_E is this narrow
 _BISECT_TOL = 1e-10
 
@@ -98,23 +98,31 @@ def memory_time(params: ModelParams) -> float:
 
     The first crossing of |c^(1)(0)|/2 is bracketed on a dense grid starting
     at τ = 0 and refined by bisection. The grid is scanned in blocks of
-    ``_SCAN_BLOCK`` points, stopping at the first block that holds a
-    crossing. Raises ``EstimationError`` when no crossing occurs before
-    T_rec/2; warns when the width is so large relative to the recurrence
-    time that the estimate is unreliable.
+    ``_SCAN_FIRST``, 2·``_SCAN_FIRST``, 4·``_SCAN_FIRST``, … points, stopping
+    at the first block that holds a crossing. Raises ``EstimationError`` when
+    c^(1) vanishes (every bath occupation underflows to 0) or when no
+    crossing occurs before T_rec/2; warns when the width is so large
+    relative to the recurrence time that the estimate is unreliable.
     """
     t_rec = params.recurrence_time
-    half = abs(correlation_function(1, 0.0, params)) / 2.0
+    peak = abs(correlation_function(1, 0.0, params))
+    if peak == 0.0:
+        raise EstimationError(
+            "c^(1) vanishes: every bath occupation underflows to 0, so the "
+            "memory time is undefined")
+    half = peak / 2.0
 
     def envelope(tau):
         return np.abs(correlation_function(1, tau, params))
 
     step = 1.0 / (20.0 * params.omega_c)
     grid = np.arange(0.0, t_rec / 2.0 + step, step)
-    for start in range(0, grid.size, _SCAN_BLOCK):
-        below = np.nonzero(envelope(grid[start:start + _SCAN_BLOCK]) <= half)[0]
+    start, size = 0, _SCAN_FIRST
+    while start < grid.size:
+        below = np.nonzero(envelope(grid[start:start + size]) <= half)[0]
         if below.size:
             break
+        start, size = start + size, 2 * size
     else:
         raise EstimationError(
             "no half-maximum crossing of |c^(1)| before T_rec/2; "

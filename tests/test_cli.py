@@ -76,6 +76,15 @@ def test_cold_bath_run_reports_no_memory_time(tmp_path):
     assert summary["tau_memory"] is None
 
 
+def test_underflowing_bath_run_reports_no_memory_time(tmp_path):
+    # at beta = 1e6 every N(omega_k) underflows to 0, so c^(1) vanishes and
+    # tau_E is undefined; it used to read off grid[-1] as 26.18
+    argv = ["run", "--preset", "fig7", "--set", "beta=1e6", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["tau_memory"] is None
+
+
 def test_sweep_writes_index(tmp_path):
     argv = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin", "--axis", "M",
             "--values", "40,50", "--out", str(tmp_path)]

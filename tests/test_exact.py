@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,9 +12,9 @@ from oscpair.gaussian import eigenmode_covariance
 from oscpair.moments import MomentState
 
 from conftest import FIG4
-from phase_space import (VCAL, energy_components, initial_covariance,
-                         physicality_min_eigenvalue, propagate_exact, propagator,
-                         symplectic_spectrum, system_moments)
+from phase_space import (VCAL, bath_energy_quadratic_form, energy_components,
+                         initial_covariance, physicality_min_eigenvalue, propagate_exact,
+                         propagator, symplectic_spectrum, system_moments)
 
 
 def params(**over):
@@ -168,13 +169,21 @@ class TestEnergies:
         assert np.abs(np.array(e)).max() < 1e-10
 
     def test_total_energy_conserved(self, model):
-        run = exact_trajectory(model.params, np.linspace(0.0, 300.0, 61))
-        total = run.energies.sum(axis=1)
+        # E_E is inferred from conservation of H; the eigenbasis quadratic form
+        # computes it without that assumption
+        times = np.linspace(0.0, 300.0, 61)
+        run = exact_trajectory(model.params, times)
         scale = np.abs(run.energies).sum(axis=1).max()
-        assert np.abs(total).max() <= 1e-8 * scale
+        e_bath = bath_energy_quadratic_form(model.params, times)
+        assert np.abs(run.energies[:, 3] - e_bath).max() <= 1e-8 * scale
 
-    def test_trajectory_energies_match_direct_route(self, model):
+    @pytest.mark.parametrize("over", [{}, {"M": 1}, {"M": 3}, {"n_omega0": 1e-12},
+                                      {"g": 1e-6}],
+                             ids=["fig4", "M1", "M3", "cold", "weak_g"])
+    def test_trajectory_energies_match_direct_route(self, model, over):
         # mode-space route against the phase-space reference: Σ(t) = UΣ(0)U†
+        if over:
+            model = build_full_model(params(**over))
         times = np.array([0.0, 7.0, 40.0, 133.3, 300.0])
         run = exact_trajectory(model.params, times)
         sig0 = initial_covariance(model.params)
@@ -229,3 +238,17 @@ class TestRecurrence:
         fine_gap = np.abs(runs[400] - runs[800]).max()
         coarse_gap = np.abs(runs[50] - runs[400]).max()
         assert coarse_gap > 10.0 * fine_gap
+
+
+class TestMemory:
+    def test_peak_memory_at_m800(self):
+        # the set-up holds at most three n × n arrays at once (n = M + 2,
+        # 5.1 MB each here) and the blocks of times O(_BLOCK·n) buffers
+        times = np.linspace(0.0, 300.0, 101)
+        tracemalloc.start()
+        try:
+            exact_trajectory(params(M=800), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20

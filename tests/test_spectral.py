@@ -176,8 +176,41 @@ class TestMemoryTime:
         with pytest.raises(EstimationError):
             memory_time(params(M=1, omega_c=3.0))
 
+    def test_underflowing_occupations_raise(self):
+        # beta = 1e6 underflows every N(omega_k) to 0, so c^(1) vanishes
+        p = params(M=50, n_omega0=None, beta=1e6)
+        assert abs(correlation_function(1, 0.0, p)) == 0.0
+        with pytest.raises(EstimationError, match="vanishes"):
+            memory_time(p)
+
+    def test_doubling_scan_equals_full_grid_scan(self, monkeypatch):
+        # fig8b (cold bath) crosses at index 319: past the first two scan blocks
+        # (64 and 128 points), inside the third (256 points)
+        p = params(n_omega0=0.01)
+        step = 1.0 / (20.0 * p.omega_c)
+        grid = np.arange(0.0, p.recurrence_time / 2.0 + step, step)
+        half = abs(correlation_function(1, 0.0, p)) / 2.0
+        hi = np.nonzero(np.abs(correlation_function(1, grid, p)) <= half)[0][0]
+        assert hi == 319
+        a, b = grid[hi - 1], grid[hi]
+        while b - a > 1e-10:
+            mid = 0.5 * (a + b)
+            if abs(correlation_function(1, mid, p)) > half:
+                a = mid
+            else:
+                b = mid
+        scanned = []
+
+        def counting(kind, tau, params):
+            scanned.append(np.size(tau))
+            return correlation_function(kind, tau, params)
+
+        monkeypatch.setattr("oscpair.spectral.correlation_function", counting)
+        assert memory_time(p) == 0.5 * (a + b)
+        assert [n for n in scanned if n > 1] == [64, 128, 256]
+
     def test_first_crossing_matches_dense_grid(self):
-        # the cold sub-Ohmic bath crosses past the first scan block (index > 512)
+        # the cold sub-Ohmic bath crosses past the first three scan blocks (index > 448)
         for p in (params(), params(n_omega0=0.01, alpha=0.5), params(M=50, alpha=2.0)):
             step = 1.0 / (20.0 * p.omega_c)
             grid = np.arange(0.0, p.recurrence_time / 2.0 + step, step)
