@@ -24,13 +24,19 @@ from .moments import MomentState, Trajectory, steady_state
 from .params import SATURATING, ModelParams
 from .presets import PRESETS, preset
 from .runner import SchemeRunner, parse_scheme, resolve_scheme, time_grid
-from .spectral import (CoefficientSet, bose_factor, cp_bound_from_tensors, dissipation_matrix,
-                       dissipator_coefficients, memory_time)
+from .spectral import (CoefficientSet, bose_factor, cp_block_bounds, cp_bound_from_tensors,
+                       dissipation_matrix, dissipator_coefficients, memory_time)
 from . import verify as verify_mod
 
+
+def _delta_t(value: str) -> float | str:
+    return value if value == SATURATING else float(value)
+
+
+#: model parameter -> parser of its --set / sweep value
 _PARAM_KEYS = {
     "omega0": float, "g": float, "kappa0": float, "omega_c": float, "alpha": float,
-    "beta": float, "n_omega0": float, "M": int, "mixture_rate": float,
+    "beta": float, "n_omega0": float, "M": int, "mixture_rate": float, "delta_t": _delta_t,
 }
 
 
@@ -71,15 +77,6 @@ def _parse_set(entries: list[str]) -> dict:
                 out[key] = _PARAM_KEYS[key](value)
             except ValueError as exc:
                 raise ValidationError(f"field {key!r}: cannot parse {value!r}") from exc
-        elif key == "delta_t":
-            if value == SATURATING:
-                out[key] = SATURATING
-            else:
-                try:
-                    out[key] = float(value)
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"field delta_t: number or {SATURATING!r}, got {value!r}") from exc
         elif key == "schemes":
             out[key] = [s.strip() for s in value.split(",") if s.strip()]
         else:
@@ -187,18 +184,17 @@ def _steady_entry(equation) -> dict:
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
-    runner = SchemeRunner(cfg.params, lamb_shift=cfg.lamb_shift)
-    times = cfg.times
+    runner = SchemeRunner(cfg.params, cfg.times, lamb_shift=cfg.lamb_shift)
 
     # everything is computed before the first file is written, so a failing
     # run leaves no partial output
     tables: dict = {}
     summary_schemes: dict = {}
     for scheme in cfg.schemes:
-        traj = runner.trajectory(scheme, times)
+        traj = runner.trajectory(scheme)
         header, cols = _trajectory_columns(traj)
         if scheme == "exact":
-            energies = runner.exact_run(times).energies
+            energies = runner.exact.energies
             header += ["e_s0", "e_sg", "e_1", "e_e"]
             cols += [energies[:, j] for j in range(4)]
         tables[_scheme_filename(scheme)] = (header, cols)
@@ -258,11 +254,11 @@ def cmd_fidelity(args) -> int:
     cfg = build_config(args)
     if cfg.reference == "mixture":
         raise ValidationError("the mixture state is not Gaussian; pick another reference")
-    runner = SchemeRunner(cfg.params, lamb_shift=cfg.lamb_shift)
+    runner = SchemeRunner(cfg.params, cfg.times, lamb_shift=cfg.lamb_shift)
     times = cfg.times
 
-    ref_traj = runner.trajectory(cfg.reference, times)
-    f2 = {scheme: gaussian_fidelity_sq(runner.trajectory(scheme, times), ref_traj)
+    ref_traj = runner.trajectory(cfg.reference)
+    f2 = {scheme: gaussian_fidelity_sq(runner.trajectory(scheme), ref_traj)
           for scheme in cfg.schemes if scheme != "mixture"}
 
     header = ["t"]
@@ -292,13 +288,12 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.axis not in _PARAM_KEYS and args.axis != "delta_t":
+    if args.axis not in _PARAM_KEYS:
         raise ValidationError(
             f"sweep axis must be a model parameter, got {args.axis!r}")
     raw_values = [v.strip() for v in (args.values or "").split(",") if v.strip()]
     if not raw_values:
         raise ValidationError("sweep needs a non-empty --values list")
-    caster = _PARAM_KEYS.get(args.axis, float)
     out_root = Path(args.out or ".")
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -307,7 +302,6 @@ def cmd_sweep(args) -> int:
         sub.set = list(args.set or []) + [f"{args.axis}={value_text}"]
         sub.out = str(out_root / f"{args.axis}={value_text}")
         try:
-            caster(value_text)
             cmd_run(sub)
             files = sorted(p.name for p in Path(sub.out).iterdir())
             return value_text, {"status": "ok", "dir": Path(sub.out).name, "files": files}
@@ -329,9 +323,7 @@ def cmd_threshold(args) -> int:
     coeffs = dissipator_coefficients(cfg.params, lamb_shift=cfg.lamb_shift)
     bound = cp_bound_from_tensors(coeffs.gamma1, coeffs.gamma2)
     print(f"cp_threshold = {_fmt(bound)}")
-    for i, gam in enumerate((coeffs.gamma1, coeffs.gamma2), start=1):
-        off = abs(gam[0, 1])
-        block = np.sqrt(gam[0, 0].real * gam[1, 1].real) / off if off else np.inf
+    for i, block in enumerate(cp_block_bounds(coeffs.gamma1, coeffs.gamma2), start=1):
         print(f"block_{i}_bound = {_fmt(block) if np.isfinite(block) else 'unconstrained'}")
     eigs = np.linalg.eigvalsh(dissipation_matrix(coeffs, bound))
     print("dissipation_matrix_eigenvalues_at_bound = "

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import CutoffError, DomainError, NonPhysicalStateError
-from .moments import MomentState, Scheme
+from .moments import MomentState, Scheme, grid_from_zero
 
 BOUNDARY_TOL = 1e-6
 THERMAL_TAIL_TOL = 1e-8
@@ -167,9 +167,7 @@ def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times) -> list[Trun
     drift acts within block N, the gain terms u·γ†ργ read block N−1 and the
     loss terms w·γργ† read block N+1.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-        raise DomainError("times must be strictly increasing and start at 0")
+    times = grid_from_zero(times)
     d = rho0.cutoff
     lay = _layout(d)
     shape = (2 * d - 1, d, d)

@@ -78,7 +78,8 @@ class Trajectory:
 
 
 class AffineGenerator:
-    """ẋ = Ax + b with eigen-decomposition cached at construction."""
+    """ẋ = Ax + b on the four moments: read-only copies of A (4×4) and b.
+    :func:`propagate` decomposes A itself; :func:`steady_state` needs no more."""
 
     def __init__(self, a_matrix, b_vector):
         a = np.array(a_matrix, dtype=float)
@@ -89,8 +90,6 @@ class AffineGenerator:
         b.setflags(write=False)
         self.a = a
         self.b = b
-        self._eigvals, self._eigvecs = np.linalg.eig(a)
-        self._cond = np.linalg.cond(self._eigvecs)
 
 
 @dataclass(frozen=True)
@@ -194,15 +193,8 @@ def _fixed_point(gen: AffineGenerator) -> np.ndarray:
     return x
 
 
-def propagate(gen: AffineGenerator, init: MomentState, times) -> Trajectory:
-    """Solve ẋ = Ax + b exactly on the given grid from x(0) = init.
-
-    x(t) = x_ss + V e^{Λt} V⁻¹ (x0 − x_ss) through the cached
-    eigen-decomposition; when A is singular or too far from diagonalizable
-    the affine flow is evaluated per time point as the exponential of the
-    augmented matrix [[A, b], [0, 0]] instead. Either way the result is
-    exact up to linear-algebra roundoff.
-    """
+def grid_from_zero(times) -> np.ndarray:
+    """The grid as floats, checked to be 1-d, non-empty, strictly increasing and from t = 0."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise DomainError("times must be a 1-d grid")
@@ -210,18 +202,32 @@ def propagate(gen: AffineGenerator, init: MomentState, times) -> Trajectory:
         raise DomainError("time grid must start at t = 0")
     if np.any(np.diff(times) <= 0.0):
         raise DomainError("times must be strictly increasing")
+    return times
+
+
+def propagate(gen: AffineGenerator, init: MomentState, times) -> Trajectory:
+    """Solve ẋ = Ax + b exactly on the given grid from x(0) = init.
+
+    x(t) = x_ss + V e^{Λt} V⁻¹ (x0 − x_ss) through the eigen-decomposition
+    A = VΛV⁻¹, computed here; when A is singular or too far from
+    diagonalizable (cond(V) ≥ 1e8) the affine flow is evaluated per time
+    point as the exponential of the augmented matrix [[A, b], [0, 0]]
+    instead. Either way the result is exact up to linear-algebra roundoff.
+    """
+    times = grid_from_zero(times)
     x0 = init.as_vector()
 
+    eigvals, eigvecs = np.linalg.eig(gen.a)
     x = None
-    if gen._cond < _COND_LIMIT:
+    if np.linalg.cond(eigvecs) < _COND_LIMIT:
         try:
             x_ss = _fixed_point(gen)
         except SteadyStateError:
             pass  # no reliable fixed point: the augmented exponential handles A
         else:
-            coef = np.linalg.solve(gen._eigvecs, x0 - x_ss)
-            modes = coef[:, None] * np.exp(np.outer(gen._eigvals, times))
-            xt = (gen._eigvecs @ modes).T + x_ss
+            coef = np.linalg.solve(eigvecs, x0 - x_ss)
+            modes = coef[:, None] * np.exp(np.outer(eigvals, times))
+            xt = (eigvecs @ modes).T + x_ss
             residue = np.abs(xt.imag).max()
             scale = 1.0 + np.abs(xt.real).max()
             if residue > 1e-9 * scale:

@@ -54,6 +54,11 @@ class ModelParams:
     def __post_init__(self, n_omega0):
         if (self.beta is None) == (n_omega0 is None):
             raise ValidationError("specify the temperature via exactly one of beta / n_omega0")
+        # beta = inf (zero temperature) and delta_t = inf (secular limit) are meaningful
+        for name in ("omega0", "g", "kappa0", "omega_c", "alpha", "mixture_rate"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if n_omega0 is not None:
             if n_omega0 <= 0.0:
                 raise ValidationError(f"n_omega0 must be > 0, got {n_omega0}")

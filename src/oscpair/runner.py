@@ -3,12 +3,13 @@
 :func:`resolve_scheme` is the one place a master-equation scheme name
 becomes its :class:`~oscpair.moments.Scheme`; :class:`SchemeRunner` adds the
 two names that are not master equations, the exact model and the
-local/global mixture, and caches trajectories per time grid.
+local/global mixture, and caches the trajectories of one time grid.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -63,55 +64,51 @@ def resolve_scheme(name: str, coeffs: CoefficientSet) -> Scheme:
 
 
 class SchemeRunner:
-    """Computes and caches per-scheme trajectories for one parameter set.
+    """Computes and caches per-scheme trajectories for one parameter set on
+    one time grid, the grid a run or fidelity table is written on.
 
-    The exact model is solved once per time grid, moments and energies
-    together, by :func:`~oscpair.exact.exact_trajectory` in mode space;
-    master-equation schemes are closed-form propagations and essentially free.
+    The exact model is solved once, moments and energies together, by
+    :func:`~oscpair.exact.exact_trajectory` in mode space; master-equation
+    schemes are closed-form propagations and essentially free.
     """
 
-    def __init__(self, params: ModelParams, *, lamb_shift: bool = True):
+    def __init__(self, params: ModelParams, times, *, lamb_shift: bool = True):
         self.params = params
+        self.times = np.asarray(times, dtype=float)
         self.coeffs = dissipator_coefficients(params, lamb_shift=lamb_shift)
-        self._exact_runs: dict[bytes, exact_mod.ExactRun] = {}
-        self._cache: dict[tuple, Trajectory] = {}
+        self._cache: dict[str, Trajectory] = {}
 
-    def exact_run(self, times) -> exact_mod.ExactRun:
-        key = np.asarray(times, dtype=float).tobytes()
-        if key not in self._exact_runs:
-            self._exact_runs[key] = exact_mod.exact_trajectory(self.params, times)
-        return self._exact_runs[key]
+    @cached_property
+    def exact(self) -> exact_mod.ExactRun:
+        """The exact model's moments and energies on the runner's grid."""
+        return exact_mod.exact_trajectory(self.params, self.times)
 
-    def trajectory(self, scheme: str, times) -> Trajectory:
-        times = np.asarray(times, dtype=float)
-        key = (scheme, times.tobytes())
-        if key in self._cache:
-            return self._cache[key]
-        if scheme == "exact":
-            traj = self.exact_run(times).trajectory
-        elif scheme == "mixture":
-            traj = mixture_moments(self.trajectory("local", times),
-                                   self.trajectory("global", times),
-                                   self.params.mixture_rate)
-        else:
-            traj = propagate(resolve_scheme(scheme, self.coeffs).generator(), VACUUM, times)
-        self._cache[key] = traj
-        return traj
+    def trajectory(self, scheme: str) -> Trajectory:
+        if scheme not in self._cache:
+            if scheme == "exact":
+                traj = self.exact.trajectory
+            elif scheme == "mixture":
+                traj = mixture_moments(self.trajectory("local"), self.trajectory("global"),
+                                       self.params.mixture_rate)
+            else:
+                traj = propagate(resolve_scheme(scheme, self.coeffs).generator(), VACUUM,
+                                 self.times)
+            self._cache[scheme] = traj
+        return self._cache[scheme]
 
 
 def time_grid(start: float, stop: float, count: int, kind: str = "lin") -> np.ndarray:
-    """Build a run grid; log grids get t = 0 prepended so propagation contracts hold."""
+    """Build a run grid on finite t >= 0; t = 0 is prepended when the grid starts
+    later, so every run starts from the vacuum at t = 0."""
     if count < 2:
         raise ValidationError("grid needs at least 2 points")
-    if not stop > start:
-        raise ValidationError("grid stop must exceed start")
+    if not 0.0 <= start < stop < math.inf:
+        raise ValidationError(f"grid needs finite 0 <= start < stop, got {start}:{stop}")
     if kind == "lin":
         grid = np.linspace(start, stop, count)
-        if grid[0] != 0.0:
-            grid = np.concatenate(([0.0], grid)) if start > 0.0 else grid
-        return grid
+        return grid if start == 0.0 else np.concatenate(([0.0], grid))
     if kind == "log":
-        if start <= 0.0:
+        if start == 0.0:
             raise ValidationError("log grid needs start > 0")
         return np.concatenate(([0.0], np.geomspace(start, stop, count)))
     raise ValidationError(f"grid kind must be lin or log, got {kind!r}")

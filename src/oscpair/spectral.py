@@ -324,20 +324,17 @@ def dissipation_matrix(coeffs: CoefficientSet, s: float) -> np.ndarray:
     return out
 
 
-def cp_bound_from_tensors(gamma1: np.ndarray, gamma2: np.ndarray) -> float:
-    """min_i sqrt(γ^(i)_{++}γ^(i)_{−−})/|γ^(i)_{+−}|, clamped to 1.
+def cp_block_bounds(gamma1: np.ndarray, gamma2: np.ndarray) -> list[float]:
+    """sqrt(γ^(i)_{++}γ^(i)_{−−})/|γ^(i)_{+−}| for the blocks i = 1, 2; ∞ for a
+    block whose off-diagonal vanishes, as it imposes no constraint."""
+    return [math.sqrt(gam[_P, _P].real * gam[_M, _M].real) / abs(gam[_P, _M])
+            if abs(gam[_P, _M]) > 0.0 else math.inf for gam in (gamma1, gamma2)]
 
-    Blocks with vanishing off-diagonal impose no constraint; if neither block
-    constrains, the Redfield filter is unconstrained and the bound is 1.
-    """
-    bounds = []
-    for gam in (gamma1, gamma2):
-        off = abs(gam[_P, _M])
-        if off > 0.0:
-            bounds.append(math.sqrt(gam[_P, _P].real * gam[_M, _M].real) / off)
-    if not bounds:
-        return 1.0
-    return float(min(min(bounds), 1.0))
+
+def cp_bound_from_tensors(gamma1: np.ndarray, gamma2: np.ndarray) -> float:
+    """The smaller of the :func:`cp_block_bounds`, clamped to 1; 1 also when
+    neither block constrains the Redfield filter."""
+    return float(min(*cp_block_bounds(gamma1, gamma2), 1.0))
 
 
 class CpThreshold(NamedTuple):

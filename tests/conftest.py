@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscpair import ModelParams, SchemeRunner
+from oscpair import ModelParams
 
 #: headline parameter set: hot bath, moderate coupling, Ohmic band
 FIG4 = dict(n_omega0=10.0, g=0.3, kappa0=0.04, omega_c=3.0, alpha=1.0, M=400)
@@ -10,12 +10,6 @@ FIG4 = dict(n_omega0=10.0, g=0.3, kappa0=0.04, omega_c=3.0, alpha=1.0, M=400)
 @pytest.fixture(scope="session")
 def fig4_params() -> ModelParams:
     return ModelParams(**FIG4)
-
-
-@pytest.fixture(scope="session")
-def fig4_runner(fig4_params) -> SchemeRunner:
-    """Shared runner so the 804x804 diagonalization happens once per session."""
-    return SchemeRunner(fig4_params)
 
 
 @pytest.fixture(scope="session")

@@ -105,6 +105,28 @@ def test_sweep_records_failed_value_and_exits_2(tmp_path):
     assert values["2.0"]["error"].startswith("ValidationError")
 
 
+def test_sweep_over_saturating_delta_t(tmp_path):
+    # sweep values are parsed by the same rule as --set, so "saturating" is a value
+    argv = ["sweep", "--preset", "fig5", *_EDGE_GRID, "--axis", "delta_t",
+            "--values", "0,saturating", "--set", "schemes=cg_redfield", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    values = json.loads((tmp_path / "index.json").read_text())["values"]
+    assert [r["status"] for r in values.values()] == ["ok", "ok"]
+    summary = json.loads((tmp_path / "delta_t=saturating" / "summary.json").read_text())
+    params = ModelParams(**preset("fig5")["params"])
+    assert summary["schemes"]["cg_redfield"]["filter_s"] == cp_threshold(params).bound
+
+
+def test_sweep_records_bad_value_with_the_set_parser_error(tmp_path):
+    argv = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin", "--axis", "M",
+            "--values", "100,100.5", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    values = json.loads((tmp_path / "index.json").read_text())["values"]
+    assert values["100"]["status"] == "ok"
+    assert values["100.5"] == {"status": "error", "dir": "M=100.5",
+                               "error": "ValidationError: field 'M': cannot parse '100.5'"}
+
+
 def test_run_oracle_spot_check(tmp_path):
     argv = ["run", "--preset", "fig9b", "--oracle-verify", "on", "--out", str(tmp_path)]
     assert main(argv) == 0
@@ -188,6 +210,28 @@ def test_ohmic_exponent_zero_exits_1(tmp_path, capsys, command):
     out = tmp_path / "out"
     argv = [sub, "--preset", name, "--set", "alpha=0", *_EDGE_GRID, "--out", str(out)]
     assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, override", [
+    (("run", "fig7"), "alpha=nan"), (("run", "fig7"), "alpha=inf"),
+    (("run", "fig7"), "kappa0=inf"), (("run", "fig7"), "mixture_rate=inf"),
+    (("fidelity", "fig6"), "mixture_rate=inf")])
+def test_non_finite_parameter_exits_1(tmp_path, capsys, command, override):
+    sub, name = command
+    out = tmp_path / "out"
+    argv = [sub, "--preset", name, "--set", override, *_EDGE_GRID, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0:inf:10:lin", "-5:150:11:lin", "-inf:5:10:lin",
+                                  "1:inf:10:log"])
+def test_grid_with_infinite_or_negative_bounds_exits_1(tmp_path, capsys, grid):
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "fig7", f"--grid={grid}", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

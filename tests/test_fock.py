@@ -112,6 +112,14 @@ def test_truncated_state_rejects_padding_and_bad_shape():
         TruncatedState(np.eye(16) / 16, 4)
 
 
+@pytest.mark.parametrize("times", [np.array([]), np.array([1.0, 2.0]), np.array([0.0, 0.0])])
+def test_propagation_rejects_bad_grid(coeffs, times):
+    # the same from-zero grid check as the moment propagator, empty grid included
+    with pytest.raises(DomainError):
+        lindblad_propagate(resolve_scheme("local", coeffs), thermal_product_state(0.0, 0.0, 3),
+                           times)
+
+
 def test_constructor_rejects_cross_beyond_uncertainty():
     with pytest.raises(DomainError):
         thermal_product_state(0.05, 0.05, 8, 0.06)

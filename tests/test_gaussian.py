@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st_
 
 from oscpair import (ConsistencyError, DomainError, MomentState, NonPhysicalStateError,
-                     VACUUM, cp_threshold, dissipator_coefficients,
+                     SchemeRunner, VACUUM, cp_threshold, dissipator_coefficients,
                      fidelity_truncated, from_ab_basis, gaussian_fidelity,
                      gaussian_fidelity_sq, lambda_c_trajectory,
                      mixture_fidelity_lower_bound, propagate,
@@ -132,8 +132,8 @@ class TestLambdaC:
             assert abs(closed - eig) <= 1e-10 * max(1.0, n1 + n2 + abs(c))
             assert abs(lambda_c_trajectory(st) - eig) <= 1e-10 * max(1.0, n1 + n2 + abs(c))
 
-    def test_redfield_goes_negative(self, fig4_runner):
-        traj = fig4_runner.trajectory("redfield", np.linspace(0.0, 5.0, 2001))
+    def test_redfield_goes_negative(self, fig4_params):
+        traj = SchemeRunner(fig4_params, np.linspace(0.0, 5.0, 2001)).trajectory("redfield")
         assert lambda_c_trajectory(traj).min() < -1e-6
 
 
@@ -265,12 +265,13 @@ class TestGaussianFidelity:
         assert not physical
         assert np.isfinite(f2)
 
-    def test_trajectory_against_reference(self, fig4_runner):
+    def test_trajectory_against_reference(self, fig4_params):
         # the route of the fidelity subcommand: whole trajectories in, one call
         times = np.linspace(0.0, 300.0, 61)
-        ref = fig4_runner.trajectory("exact", times)
+        runner = SchemeRunner(fig4_params, times)
+        ref = runner.trajectory("exact")
         for scheme in ("redfield", "cp_redfield", "local"):
-            traj = fig4_runner.trajectory(scheme, times)
+            traj = runner.trajectory(scheme)
             vals, physical = gaussian_fidelity_sq(traj, ref)
             for i in range(times.size):
                 want = reference_fidelity_sq(traj.state(i), ref.state(i))
