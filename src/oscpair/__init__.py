@@ -14,8 +14,8 @@ from .gaussian import (ABMoments, from_ab_basis, gaussian_fidelity, gaussian_fid
                        lambda_c_trajectory, mixture_fidelity_lower_bound, to_ab_basis)
 from .fock import (TruncatedState, boundary_population, fidelity_truncated,
                    lindblad_propagate, number_expectations, thermal_product_state)
-from .moments import (AffineGenerator, MomentState, Scheme, Trajectory, VACUUM,
-                      mixture_moments, propagate, steady_state)
+from .moments import (MomentState, Scheme, Trajectory, mixture_moments, propagate,
+                      steady_state)
 from .params import SATURATING, ModelParams
 from .runner import SchemeRunner, time_grid
 from .spectral import (CoefficientSet, CpThreshold, bath_modes, bose_factor,

@@ -177,7 +177,7 @@ def _run_oracle_spot_check(cfg: RunConfig, coeffs: CoefficientSet) -> dict:
 
 def _steady_entry(equation) -> dict:
     try:
-        return {"steady_state": _state_summary(steady_state(equation.generator()))}
+        return {"steady_state": _state_summary(steady_state(equation))}
     except SteadyStateError as exc:  # e.g. g = 0, where mode B is dark
         return {"steady_state": None, "steady_state_error": str(exc)}
 
@@ -260,6 +260,7 @@ def cmd_fidelity(args) -> int:
     ref_traj = runner.trajectory(cfg.reference)
     f2 = {scheme: gaussian_fidelity_sq(runner.trajectory(scheme), ref_traj)
           for scheme in cfg.schemes if scheme != "mixture"}
+    cp_bound = cp_bound_from_tensors(runner.coeffs.gamma1, runner.coeffs.gamma2)
 
     header = ["t"]
     cols: list[np.ndarray] = [times]
@@ -271,15 +272,18 @@ def cmd_fidelity(args) -> int:
             cols.append(np.asarray(bound) ** 2)
             continue
         vals, physical = f2[scheme]
-        if scheme == "redfield":
-            header += ["re_f2_redfield", "redfield_nonphysical"]
+        label = scheme.replace(":", "_s")
+        # a filter past the CP bound may leave the physical states: flag, don't fail
+        s = None if scheme == "exact" else resolve_scheme(scheme, runner.coeffs).filter_s
+        if s is not None and abs(s) > cp_bound:
+            header += [f"re_f2_{label}", f"{label}_nonphysical"]
             cols += [vals, (~physical).astype(float)]
         else:
             if not physical.all():
                 raise OscPairError(
                     f"scheme {scheme} produced non-physical fidelity input "
                     f"at t = {times[np.argmin(physical)]}")
-            header.append(f"f2_{scheme.replace(':', '_s')}")
+            header.append(f"f2_{label}")
             cols.append(vals)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(cfg.outdir / "fidelity.csv", header, cols)

@@ -8,10 +8,11 @@ integrates the same record in operator form.
 For the ground-state initial condition only three moments evolve:
 n₊ = ⟨γ₊†γ₊⟩, n₋ = ⟨γ₋†γ₋⟩ and the cross correlation ⟨γ₋γ₊†⟩.
 :meth:`Scheme.generator` derives from (u, w, h) the real affine system
-ẋ = Ax + b on x = (n₊, n₋, Re cross, Im cross), and propagation goes through
-the spectral decomposition of A — there is no time-stepping truncation
-error anywhere in this module. The local/global mixture is a convex
-combination of two trajectories, not a scheme of its own.
+ẋ = Ax + b on x = (n₊, n₋, Re cross, Im cross), and :func:`propagate` solves
+it from the vacuum in closed form through the spectral decomposition of A —
+there is no time-stepping truncation error anywhere in this module. The
+local/global mixture is a convex combination of two trajectories, not a
+scheme of its own.
 """
 
 from __future__ import annotations
@@ -33,16 +34,9 @@ class MomentState:
     n_minus: float
     cross: complex = 0j
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.n_plus, self.n_minus, self.cross.real, self.cross.imag])
-
     @classmethod
     def from_vector(cls, x) -> "MomentState":
         return cls(float(x[0]), float(x[1]), complex(x[2], x[3]))
-
-
-#: both oscillators in their ground state
-VACUUM = MomentState(0.0, 0.0, 0j)
 
 
 @dataclass(frozen=True)
@@ -75,21 +69,6 @@ class Trajectory:
     def state(self, i: int) -> MomentState:
         return MomentState(float(self.n_plus[i]), float(self.n_minus[i]),
                            complex(self.cross[i]))
-
-
-class AffineGenerator:
-    """ẋ = Ax + b on the four moments: read-only copies of A (4×4) and b.
-    :func:`propagate` decomposes A itself; :func:`steady_state` needs no more."""
-
-    def __init__(self, a_matrix, b_vector):
-        a = np.array(a_matrix, dtype=float)
-        b = np.array(b_vector, dtype=float)
-        if a.shape != (4, 4) or b.shape != (4,):
-            raise DomainError("AffineGenerator needs a 4x4 matrix and a 4-vector")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        self.a = a
-        self.b = b
 
 
 @dataclass(frozen=True)
@@ -148,8 +127,9 @@ class Scheme:
             omegas=(coeffs.omega_plus, coeffs.omega_minus),
         )
 
-    def generator(self) -> "AffineGenerator":
-        """Moment generator on x = (N₊₊, N₋₋, Re N₊₋, Im N₊₋), N_ij = ⟨γ_i†γ_j⟩.
+    def generator(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pair (A, b) of ẋ = Ax + b on x = (N₊₊, N₋₋, Re N₊₋, Im N₊₋),
+        N_ij = ⟨γ_i†γ_j⟩.
 
         Back in the Schrödinger picture the phases e^{i(ω_σ−ω_σ')t} become
         the bare H_S, and the master equation gives the time-independent
@@ -157,7 +137,7 @@ class Scheme:
         """
         k = 1j * (np.diag(self.omegas) + self.h).T - 0.5 * (self.w - self.u).T
         a = np.column_stack([_coords(k @ e + e @ k.conj().T) for e in _HERMITIAN_BASIS])
-        return AffineGenerator(a, _coords(self.u.T))
+        return a, _coords(self.u.T)
 
 
 #: Hermitian 2×2 matrices whose coordinates are the unit vectors of x
@@ -169,28 +149,18 @@ def _coords(n: np.ndarray) -> np.ndarray:
     return np.array([n[0, 0].real, n[1, 1].real, n[0, 1].real, n[0, 1].imag])
 
 
-def cg_redfield_generator(coeffs: CoefficientSet, s: float) -> AffineGenerator:
-    """Moment generator of the coarse-grained Redfield family at filter value s."""
+def cg_redfield_generator(coeffs: CoefficientSet, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Moment generator (A, b) of the coarse-grained Redfield family at filter value s."""
     return Scheme.coarse_grained(coeffs, s).generator()
 
 
-def local_generator(coeffs: CoefficientSet) -> AffineGenerator:
-    """Moment generator of the local master equation (dissipation on mode A only)."""
+def local_generator(coeffs: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
+    """Moment generator (A, b) of the local master equation (dissipation on mode A only)."""
     return Scheme.local(coeffs).generator()
 
 
+#: cond(V) from which A counts as defective and propagate uses the augmented expm
 _COND_LIMIT = 1e8
-
-
-def _fixed_point(gen: AffineGenerator) -> np.ndarray:
-    # −A⁻¹b, accepted only when it solves Ax = −b to the residual tolerance
-    try:
-        x = np.linalg.solve(gen.a, -gen.b)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError("generator matrix is singular") from exc
-    if not np.allclose(gen.a @ x, -gen.b, atol=1e-12, rtol=1e-9):
-        raise SteadyStateError("no reliable unique steady state (near-singular A)")
-    return x
 
 
 def grid_from_zero(times) -> np.ndarray:
@@ -205,55 +175,55 @@ def grid_from_zero(times) -> np.ndarray:
     return times
 
 
-def propagate(gen: AffineGenerator, init: MomentState, times) -> Trajectory:
-    """Solve ẋ = Ax + b exactly on the given grid from x(0) = init.
+def propagate(scheme: Scheme, times) -> Trajectory:
+    """Solve the scheme's ẋ = Ax + b exactly on the given grid from the vacuum x(0) = 0.
 
-    x(t) = x_ss + V e^{Λt} V⁻¹ (x0 − x_ss) through the eigen-decomposition
-    A = VΛV⁻¹, computed here; when A is singular or too far from
-    diagonalizable (cond(V) ≥ 1e8) the affine flow is evaluated per time
-    point as the exponential of the augmented matrix [[A, b], [0, 0]]
-    instead. Either way the result is exact up to linear-algebra roundoff.
+    x(t) = ∫₀ᵗ e^{As} b ds = V diag(φ(λ, t)) V⁻¹ b through the eigendecomposition
+    A = VΛV⁻¹, with φ(λ, t) = expm1(λt)/λ and φ(0, t) = t. The t = 0 row is
+    exactly zero, and a singular A (a dark mode, no dissipation) needs no fixed
+    point. Only a defective A, cond(V) ≥ 1e8, is evaluated per time point as
+    the exponential of the augmented matrix [[A, b], [0, 0]] instead. Either
+    way the result is exact up to linear-algebra roundoff.
     """
     times = grid_from_zero(times)
-    x0 = init.as_vector()
+    a, b = scheme.generator()
 
-    eigvals, eigvecs = np.linalg.eig(gen.a)
-    x = None
+    eigvals, eigvecs = np.linalg.eig(a)
     if np.linalg.cond(eigvecs) < _COND_LIMIT:
-        try:
-            x_ss = _fixed_point(gen)
-        except SteadyStateError:
-            pass  # no reliable fixed point: the augmented exponential handles A
-        else:
-            coef = np.linalg.solve(eigvecs, x0 - x_ss)
-            modes = coef[:, None] * np.exp(np.outer(eigvals, times))
-            xt = (eigvecs @ modes).T + x_ss
-            residue = np.abs(xt.imag).max()
-            scale = 1.0 + np.abs(xt.real).max()
-            if residue > 1e-9 * scale:
-                raise PropagationError(
-                    f"imaginary residue {residue:.2e} in eigen-propagation")
-            x = xt.real
-
-    if x is None:
-        # affine flow as a 5x5 exponential; handles singular / defective A
+        lam = eigvals[:, None]
+        zero = lam == 0.0
+        phi = np.where(zero, times, np.expm1(lam * times) / np.where(zero, 1.0, lam))
+        xt = (eigvecs @ (np.linalg.solve(eigvecs, b)[:, None] * phi)).T
+        residue = np.abs(xt.imag).max()
+        scale = 1.0 + np.abs(xt.real).max()
+        if residue > 1e-9 * scale:
+            raise PropagationError(f"imaginary residue {residue:.2e} in eigen-propagation")
+        x = xt.real
+    else:
+        # affine flow as the last column of a 5x5 exponential; handles defective A
         aug = np.zeros((5, 5))
-        aug[:4, :4] = gen.a
-        aug[:4, 4] = gen.b
-        y0 = np.append(x0, 1.0)
+        aug[:4, :4] = a
+        aug[:4, 4] = b
         x = np.empty((times.size, 4))
         for i, t in enumerate(times):
-            yt = expm(aug * t) @ y0
-            if not np.all(np.isfinite(yt)):
+            x[i] = expm(aug * t)[:4, 4]
+            if not np.all(np.isfinite(x[i])):
                 raise PropagationError(f"propagation diverged at t = {t}")
-            x[i] = yt[:4]
 
     return Trajectory(times, x[:, 0], x[:, 1], x[:, 2] + 1j * x[:, 3])
 
 
-def steady_state(gen: AffineGenerator) -> MomentState:
-    """Fixed point −A⁻¹ b of the affine system."""
-    return MomentState.from_vector(_fixed_point(gen))
+def steady_state(scheme: Scheme) -> MomentState:
+    """Fixed point −A⁻¹b of the scheme's moment system, accepted only when it
+    solves Ax = −b to the residual tolerance."""
+    a, b = scheme.generator()
+    try:
+        x = np.linalg.solve(a, -b)
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError("generator matrix is singular") from exc
+    if not np.allclose(a @ x, -b, atol=1e-12, rtol=1e-9):
+        raise SteadyStateError("no reliable unique steady state (near-singular A)")
+    return MomentState.from_vector(x)
 
 
 def mixture_moments(local_traj: Trajectory, global_traj: Trajectory,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import exact as exact_mod
 from .errors import ValidationError
-from .moments import VACUUM, Scheme, Trajectory, mixture_moments, propagate
+from .moments import Scheme, Trajectory, mixture_moments, propagate
 from .params import ModelParams
 from .spectral import CoefficientSet, cp_bound_from_tensors, dissipator_coefficients
 
@@ -69,7 +69,9 @@ class SchemeRunner:
 
     The exact model is solved once, moments and energies together, by
     :func:`~oscpair.exact.exact_trajectory` in mode space; master-equation
-    schemes are closed-form propagations and essentially free.
+    schemes are closed-form propagations from the vacuum by
+    :func:`~oscpair.moments.propagate` and essentially free. Every trajectory
+    starts from the joint ground state, and its t = 0 row is exactly zero.
     """
 
     def __init__(self, params: ModelParams, times, *, lamb_shift: bool = True):
@@ -91,8 +93,7 @@ class SchemeRunner:
                 traj = mixture_moments(self.trajectory("local"), self.trajectory("global"),
                                        self.params.mixture_rate)
             else:
-                traj = propagate(resolve_scheme(scheme, self.coeffs).generator(), VACUUM,
-                                 self.times)
+                traj = propagate(resolve_scheme(scheme, self.coeffs), self.times)
             self._cache[scheme] = traj
         return self._cache[scheme]
 

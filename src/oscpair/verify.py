@@ -20,7 +20,7 @@ import numpy as np
 from .fock import (TruncatedState, fidelity_truncated, lindblad_propagate,
                    number_expectations, thermal_product_state)
 from .gaussian import gaussian_fidelity
-from .moments import VACUUM, MomentState, Scheme, Trajectory, propagate
+from .moments import MomentState, Scheme, Trajectory, propagate
 from .params import ModelParams, bose_occupation
 from .runner import resolve_scheme
 from .spectral import cp_threshold, dissipator_coefficients
@@ -92,7 +92,7 @@ def moment_deviation(scheme: Scheme, cutoff: int,
     """Propagate ``scheme`` from the vacuum through the Fock oracle and the moment
     route; returns the largest moment difference and both trajectories."""
     fock_states = lindblad_propagate(scheme, thermal_product_state(0.0, 0.0, cutoff), times)
-    traj = propagate(scheme.generator(), VACUUM, times)
+    traj = propagate(scheme, times)
     worst = 0.0
     for i, st in enumerate(fock_states):
         mom = number_expectations(st)

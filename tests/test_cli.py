@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oscpair import ModelParams, ValidationError, cp_threshold
+from oscpair import ModelParams, ValidationError, cp_threshold, thermal_product_state
 from oscpair import cli, runner, spectral, verify
 from oscpair.cli import build_config, main
 from oscpair.presets import PRESETS, preset
@@ -31,6 +31,22 @@ def test_run_starts_at_zero_and_reruns_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_every_preset_starts_every_scheme_at_the_vacuum(tmp_path):
+    # each preset once: the aliases name the same entries
+    names = {id(entry): name for name, entry in reversed(PRESETS.items())}.values()
+    for name in names:
+        assert main(["run", "--preset", name, "--out", str(tmp_path / name)]) == 0
+        for scheme in PRESETS[name]["schemes"]:
+            _, rows = read_csv(tmp_path / name / f"{scheme}.csv")
+            assert np.all(rows[0] == 0.0), (name, scheme)
+    # the Fock oracle accepts the cold-bath t = 0 moments as a state
+    for scheme in PRESETS["fig9b"]["schemes"]:
+        header, rows = read_csv(tmp_path / "fig9b" / f"{scheme}.csv")
+        t0 = dict(zip(header, rows[0]))
+        thermal_product_state(t0["n_plus"], t0["n_minus"], 4,
+                              complex(t0["re_cross"], t0["im_cross"]))
+
+
 def test_csv_cells_are_17_significant_digits(tmp_path):
     # round-trip text for every float, including the signed zero and non-finite values
     values = np.array([0.0, -0.0, 0.1, 1e22, 5e-324, np.inf, -np.inf, np.nan])
@@ -53,6 +69,24 @@ def test_fidelity_in_unit_interval(tmp_path):
     physical = [j for j, name in enumerate(header) if name.startswith("f2_")]
     assert len(physical) == 4
     assert np.all(rows[:, physical] <= 1.0)
+
+
+def test_filter_past_the_cp_bound_is_flagged_whatever_its_name(tmp_path):
+    # cg_redfield:1.0 is the Redfield equation: both get the flagged pair
+    argv = ["fidelity", "--preset", "fig6", *_EDGE_GRID, "--out", str(tmp_path / "hot"),
+            "--set", "schemes=global,local,mixture,cg_redfield:1.0,redfield"]
+    assert main(argv) == 0
+    header, rows = read_csv(tmp_path / "hot" / "fidelity.csv")
+    assert header == ["t", "f2_global", "f2_local", "f2_mixture_lower_bound",
+                      "re_f2_cg_redfield_s1.0", "cg_redfield_s1.0_nonphysical",
+                      "re_f2_redfield", "redfield_nonphysical"]
+    assert np.array_equal(rows[:, 4:6], rows[:, 6:8])
+    # at g = 0 the bound is clamped to 1, so the Redfield filter stays inside it
+    argv = ["fidelity", "--preset", "fig6", *_EDGE_GRID, "--out", str(tmp_path / "dark"),
+            "--set", "g=0", "--set", "schemes=redfield,global"]
+    assert main(argv) == 0
+    header, _ = read_csv(tmp_path / "dark" / "fidelity.csv")
+    assert header == ["t", "f2_redfield", "f2_global"]
 
 
 def test_bad_set_field_exits_1(tmp_path, capsys):

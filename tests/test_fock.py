@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscpair import (DomainError, ModelParams, MomentState, TruncatedState, VACUUM,
+from oscpair import (DomainError, ModelParams, MomentState, TruncatedState,
                      boundary_population, cp_threshold, dissipator_coefficients,
                      fidelity_truncated, lindblad_propagate, number_expectations, propagate,
                      thermal_product_state)
@@ -45,7 +45,7 @@ def routes(request, params, coeffs):
 def test_oracle_matches_moment_route(routes):
     """lindblad_propagate and propagate read the same Scheme and must agree."""
     scheme, states, _ = routes
-    traj = propagate(scheme.generator(), VACUUM, TIMES)
+    traj = propagate(scheme, TIMES)
     assert traj.n_plus[-1] > 0.01 and traj.n_minus[-1] > 0.01
     for i, state in enumerate(states):
         mom = number_expectations(state)

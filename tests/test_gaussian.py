@@ -7,17 +7,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st_
 
 from oscpair import (ConsistencyError, DomainError, MomentState, NonPhysicalStateError,
-                     SchemeRunner, VACUUM, cp_threshold, dissipator_coefficients,
+                     Scheme, SchemeRunner, cp_threshold, dissipator_coefficients,
                      fidelity_truncated, from_ab_basis, gaussian_fidelity,
                      gaussian_fidelity_sq, lambda_c_trajectory,
                      mixture_fidelity_lower_bound, propagate,
                      thermal_product_state, to_ab_basis)
 from oscpair.gaussian import eigenmode_covariance
-from oscpair.moments import cg_redfield_generator
 
 from conftest import FIG4
 from oscpair import ModelParams
 from phase_space import VCAL, XI, lambda_c_short_time_slope
+
+#: both oscillators in their ground state
+VACUUM = MomentState(0.0, 0.0, 0j)
 
 
 def random_physical_state(rng, n_max=3.0):
@@ -144,7 +146,7 @@ class TestCpBoundKeepsStatesPhysical:
     TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 400.0, 400)])
 
     def worst_lambda_c(self, coeffs, s):
-        traj = propagate(cg_redfield_generator(coeffs, s), VACUUM, self.TIMES)
+        traj = propagate(Scheme.coarse_grained(coeffs, s), self.TIMES)
         scale = 1.0 + max(traj.n_plus.max(), traj.n_minus.max())
         return lambda_c_trajectory(traj).min() / scale
 
@@ -197,9 +199,8 @@ class TestShortTimeSlope:
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_finite_difference_agreement(self, coeffs, s):
-        gen = cg_redfield_generator(coeffs, s)
         h = 1e-4
-        traj = propagate(gen, VACUUM, np.array([0.0, h]))
+        traj = propagate(Scheme.coarse_grained(coeffs, s), np.array([0.0, h]))
         fd = lambda_c_trajectory(traj.state(1)) / h
         analytic = lambda_c_short_time_slope(s, coeffs)
         assert fd == pytest.approx(analytic, rel=0.01)

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from oscpair import (DomainError, MomentState, SteadyStateError, Trajectory, VACUUM,
-                     AffineGenerator, bose_factor, cp_threshold, dissipator_coefficients,
+from oscpair import (DomainError, MomentState, Scheme, SteadyStateError, Trajectory,
+                     bose_factor, cp_threshold, dissipator_coefficients,
                      mixture_moments, propagate, spectral_density, steady_state)
 from oscpair import moments
 from oscpair.moments import cg_redfield_generator, local_generator
@@ -90,9 +90,9 @@ class TestDerivedGenerator:
 
     @staticmethod
     def assert_same(gen, ref):
-        a_ref, b_ref = ref
-        assert np.abs(gen.a - a_ref).max() <= 1e-14 * np.abs(a_ref).max()
-        assert np.abs(gen.b - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
+        (a, b), (a_ref, b_ref) = gen, ref
+        assert np.abs(a - a_ref).max() <= 1e-14 * np.abs(a_ref).max()
+        assert np.abs(b - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
 
     @pytest.mark.parametrize("fields", REFERENCE_SETS)
     @pytest.mark.parametrize("lamb_shift", [True, False])
@@ -107,116 +107,161 @@ class TestDerivedGenerator:
 
 class TestGeneratorStructure:
     def test_global_block_decouples(self, p, coeffs):
-        gen = cg_redfield_generator(coeffs, 0.0)
+        a, b = cg_redfield_generator(coeffs, 0.0)
         kappa, _ = eigenmode_rates(p)
         # n± relax independently at kappa(omega±)/2 toward N(omega±)
-        assert gen.a[0, 0] == pytest.approx(-0.5 * kappa[0])
-        assert gen.a[1, 1] == pytest.approx(-0.5 * kappa[1])
-        assert np.all(gen.a[:2, 2:] == 0) and np.all(gen.a[2:, :2] == 0)
-        assert gen.b[2] == 0 and gen.b[3] == 0
+        assert a[0, 0] == pytest.approx(-0.5 * kappa[0])
+        assert a[1, 1] == pytest.approx(-0.5 * kappa[1])
+        assert np.all(a[:2, 2:] == 0) and np.all(a[2:, :2] == 0)
+        assert b[2] == 0 and b[3] == 0
 
     def test_global_fixed_point_annihilates(self, p, coeffs):
-        gen = cg_redfield_generator(coeffs, 0.0)
+        a, b = cg_redfield_generator(coeffs, 0.0)
         _, occ = eigenmode_rates(p)
         x = np.array([occ[0], occ[1], 0.0, 0.0])
-        assert np.abs(gen.a @ x + gen.b).max() < 1e-14
+        assert np.abs(a @ x + b).max() < 1e-14
 
     def test_redfield_couples_everything(self, coeffs):
-        gen = cg_redfield_generator(coeffs, 1.0)
-        assert np.abs(gen.a[:2, 2:]).max() > 0
-        assert np.abs(gen.a[2:, :2]).max() > 0
+        a, _ = cg_redfield_generator(coeffs, 1.0)
+        assert np.abs(a[:2, 2:]).max() > 0
+        assert np.abs(a[2:, :2]).max() > 0
 
     def test_relaxation_rates_stable_inside_bound(self, p, coeffs):
         bound = cp_threshold(p).bound
         for s in (0.0, 0.3, 0.7 * bound, bound):
-            gen = cg_redfield_generator(coeffs, s)
-            assert np.linalg.eigvals(gen.a).real.max() <= 1e-14
-        gen_loc = local_generator(coeffs)
-        assert np.linalg.eigvals(gen_loc.a).real.max() <= 1e-14
+            a, _ = cg_redfield_generator(coeffs, s)
+            assert np.linalg.eigvals(a).real.max() <= 1e-14
+        a_loc, _ = local_generator(coeffs)
+        assert np.linalg.eigvals(a_loc).real.max() <= 1e-14
+
+
+def global_scheme(coeffs):
+    return Scheme.coarse_grained(coeffs, 0.0)
+
+
+def augmented_flow(scheme, times):
+    """x(t) from the vacuum: the last column of the exponential of [[A, b], [0, 0]]."""
+    aug = np.zeros((5, 5))
+    aug[:4, :4], aug[:4, 4] = scheme.generator()
+    return np.array([expm(aug * t)[:4, 4] for t in times])
+
+
+def stacked(traj):
+    return np.column_stack([traj.n_plus, traj.n_minus, traj.cross.real, traj.cross.imag])
+
+
+#: a scheme with gain and loss on γ₊ only and no Lamb shift: A is singular
+#: (n₊ neither decays nor grows by itself) and b = (1, 0, 0, 0), so n₊(t) = t
+SINGULAR = Scheme(u=np.diag([1.0, 0.0]), w=np.diag([1.0, 0.0]), h=np.zeros((2, 2)),
+                  omegas=(1.3, 0.7))
+
+
+@pytest.fixture
+def eigen_branch_only(monkeypatch):
+    def no_fallback(_):
+        raise AssertionError("propagate left the eigen branch")
+
+    monkeypatch.setattr(moments, "expm", no_fallback)
 
 
 class TestPropagate:
-    def test_steady_init_stays_constant(self, coeffs):
-        gen = cg_redfield_generator(coeffs, 0.0)
-        ss = steady_state(gen)
-        traj = propagate(gen, ss, np.linspace(0, 100, 11))
-        assert np.abs(traj.n_plus - ss.n_plus).max() < 1e-10
+    def test_vacuum_relaxes_to_steady_state(self, coeffs):
+        scheme = global_scheme(coeffs)
+        ss = steady_state(scheme)
+        traj = propagate(scheme, np.linspace(0.0, 3000.0, 11))
+        assert abs(traj.n_plus[-1] - ss.n_plus) < 1e-10
+        assert abs(traj.n_minus[-1] - ss.n_minus) < 1e-10
         assert np.abs(traj.cross).max() < 1e-12
 
     def test_global_matches_closed_form(self, p, coeffs):
         times = np.linspace(0.0, 300.0, 601)
-        traj = propagate(cg_redfield_generator(coeffs, 0.0), VACUUM, times)
+        traj = propagate(global_scheme(coeffs), times)
         ref = global_closed_form(p, times)
         assert np.abs(traj.n_plus - ref.n_plus).max() < 1e-10
         assert np.abs(traj.n_minus - ref.n_minus).max() < 1e-10
         assert np.abs(traj.cross).max() < 1e-12
 
     def test_against_runge_kutta_oracle(self, p, coeffs):
-        gen = cg_redfield_generator(coeffs, cp_threshold(p).bound)
+        scheme = Scheme.coarse_grained(coeffs, cp_threshold(p).bound)
+        a, b = scheme.generator()
         times = np.linspace(0.0, 300.0, 241)
-        traj = propagate(gen, VACUUM, times)
-        sol = solve_ivp(lambda t, x: gen.a @ x + gen.b, (0.0, 300.0), np.zeros(4),
+        traj = propagate(scheme, times)
+        sol = solve_ivp(lambda t, x: a @ x + b, (0.0, 300.0), np.zeros(4),
                         t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
-        stacked = np.column_stack([traj.n_plus, traj.n_minus,
-                                   traj.cross.real, traj.cross.imag])
-        assert np.abs(stacked - sol.y.T).max() <= 1e-8
+        assert np.abs(stacked(traj) - sol.y.T).max() <= 1e-8
 
     def test_grid_contract(self, coeffs):
-        gen = cg_redfield_generator(coeffs, 0.0)
+        scheme = global_scheme(coeffs)
         with pytest.raises(DomainError):
-            propagate(gen, VACUUM, np.array([1.0, 2.0]))
+            propagate(scheme, np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
-            propagate(gen, VACUUM, np.array([0.0, 2.0, 2.0]))
+            propagate(scheme, np.array([0.0, 2.0, 2.0]))
 
     @pytest.mark.parametrize("fields", REFERENCE_SETS[:4])
     @pytest.mark.parametrize("name", ["redfield", "cp_redfield", "global", "local",
                                       "cg_redfield:0.3"])
-    def test_eigen_branch_matches_augmented_exponential(self, monkeypatch, fields, name):
-        gen = resolve_scheme(name, dissipator_coefficients(ModelParams(**fields))).generator()
+    def test_eigen_branch_matches_augmented_exponential(self, eigen_branch_only, fields, name):
+        scheme = resolve_scheme(name, dissipator_coefficients(ModelParams(**fields)))
         times = np.linspace(0.0, 300.0, 61)
-
-        def no_fallback(_):
-            raise AssertionError("propagate left the eigen branch")
-
-        monkeypatch.setattr(moments, "expm", no_fallback)
-        traj = propagate(gen, VACUUM, times)
-        got = np.column_stack([traj.n_plus, traj.n_minus, traj.cross.real, traj.cross.imag])
-        # x(t) from the exponential of the augmented generator [[A, b], [0, 0]]
-        aug = np.zeros((5, 5))
-        aug[:4, :4] = gen.a
-        aug[:4, 4] = gen.b
-        y0 = np.append(VACUUM.as_vector(), 1.0)
-        ref = np.array([(expm(aug * t) @ y0)[:4] for t in times])
+        got = stacked(propagate(scheme, times))
+        ref = augmented_flow(scheme, times)
         assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+        assert np.all(got[0] == 0.0)
 
-    def test_expm_fallback_on_singular_generator(self):
-        gen = AffineGenerator(np.zeros((4, 4)), np.array([1.0, 0.0, 0.0, 0.0]))
-        traj = propagate(gen, VACUUM, np.array([0.0, 2.0, 5.0]))
-        assert traj.n_plus == pytest.approx([0.0, 2.0, 5.0])  # x(t) = b t exactly
+
+class TestPropagateRouting:
+    """propagate reaches the augmented exponential only for a defective A."""
+
+    def test_singular_scheme_stays_on_eigen_branch(self, eigen_branch_only):
+        times = np.array([0.0, 0.5, 2.0, 5.0])
+        traj = propagate(SINGULAR, times)
+        assert np.array_equal(traj.n_plus, times)  # x(t) = b t exactly
+        assert np.all(traj.n_minus == 0.0) and np.all(traj.cross == 0.0)
+
+    def test_defective_local_scheme_takes_the_fallback(self, monkeypatch):
+        # without the Lamb shift, g = kappa0/4 is the local scheme's critical damping
+        params = ModelParams(**{**FIG4, "g": 0.25 * FIG4["kappa0"]})
+        scheme = resolve_scheme("local", dissipator_coefficients(params, lamb_shift=False))
+        a, b = scheme.generator()
+        assert np.linalg.cond(np.linalg.eig(a)[1]) >= moments._COND_LIMIT
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return expm(m)
+
+        monkeypatch.setattr(moments, "expm", counting)
+        times = np.linspace(0.0, 300.0, 61)
+        got = stacked(propagate(scheme, times))
+        assert len(calls) == times.size
+        assert np.array_equal(got, augmented_flow(scheme, times))
+        assert np.all(got[0] == 0.0)
+        sol = solve_ivp(lambda t, x: a @ x + b, (0.0, 300.0), np.zeros(4),
+                        t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
+        assert np.abs(got - sol.y.T).max() <= 1e-8 * (1.0 + np.abs(got).max())
 
 
 class TestSteadyStates:
     def test_global(self, p, coeffs):
-        ss = steady_state(cg_redfield_generator(coeffs, 0.0))
+        ss = steady_state(global_scheme(coeffs))
         _, occ = eigenmode_rates(p)
         assert ss.n_plus == pytest.approx(occ[0], rel=1e-12)
         assert ss.n_minus == pytest.approx(occ[1], rel=1e-12)
         assert abs(ss.cross) < 1e-15
 
     def test_local_thermalizes_both_modes_at_omega0(self, coeffs):
-        ss = steady_state(local_generator(coeffs))
+        ss = steady_state(Scheme.local(coeffs))
         assert ss.n_plus == pytest.approx(coeffs.n_occ_omega0, rel=1e-12)
         assert ss.n_minus == pytest.approx(coeffs.n_occ_omega0, rel=1e-12)
         assert abs(ss.cross) < 1e-14
 
     def test_singular_raises(self):
-        gen = AffineGenerator(np.zeros((4, 4)), np.ones(4))
         with pytest.raises(SteadyStateError):
-            steady_state(gen)
+            steady_state(SINGULAR)
 
     def test_cp_redfield_keeps_finite_gap(self, p, coeffs):
         bound = cp_threshold(p).bound
-        ss = steady_state(cg_redfield_generator(coeffs, bound))
+        ss = steady_state(Scheme.coarse_grained(coeffs, bound))
         gap = 2.0 * ss.cross.real
         assert gap == pytest.approx(asymptotic_gap_first_order(bound, p), rel=0.10)
 
@@ -229,8 +274,7 @@ class TestLocalClosedForm:
     def test_matches_generator_without_lamb_shift(self, p):
         coeffs_off = dissipator_coefficients(p, lamb_shift=False)
         times = np.linspace(0.0, 300.0, 1201)
-        traj = propagate(local_generator(coeffs_off),
-                         VACUUM, times)
+        traj = propagate(Scheme.local(coeffs_off), times)
         ref = local_closed_form(coeffs_off, times)
         assert np.abs(traj.n_plus - ref.n_plus).max() < 1e-8
         assert np.abs(traj.n_minus - ref.n_minus).max() < 1e-8
@@ -239,15 +283,13 @@ class TestLocalClosedForm:
     def test_no_lamb_shift_means_no_mode_splitting(self, p):
         coeffs_off = dissipator_coefficients(p, lamb_shift=False)
         times = np.linspace(0.0, 100.0, 401)
-        traj = propagate(local_generator(coeffs_off),
-                         VACUUM, times)
+        traj = propagate(Scheme.local(coeffs_off), times)
         # n+ = n- identically, i.e. Re<ab†> = 0 and <H_S,g> = 0
         assert np.abs(traj.n_plus - traj.n_minus).max() < 1e-12
 
     def test_lamb_shift_splits_modes_weakly(self, p, coeffs):
         times = np.linspace(0.0, 100.0, 401)
-        traj = propagate(local_generator(coeffs),
-                         VACUUM, times)
+        traj = propagate(Scheme.local(coeffs), times)
         split = np.abs(traj.n_plus - traj.n_minus).max()
         scale = abs(coeffs.delta_omega_a) / p.g * coeffs.n_occ_omega0
         assert 0.0 < split < 5.0 * scale
@@ -263,7 +305,7 @@ class TestLocalClosedForm:
 class TestGlobalSchemeProperties:
     def test_no_rabi_imaginary_part(self, coeffs):
         times = np.linspace(0.0, 50.0, 201)
-        traj = propagate(cg_redfield_generator(coeffs, 0.0), VACUUM, times)
+        traj = propagate(global_scheme(coeffs), times)
         assert np.abs(traj.cross.imag).max() == 0.0
 
 
@@ -300,8 +342,8 @@ class TestAsymptoticGap:
 class TestMixture:
     def test_endpoints(self, p, coeffs):
         times = np.linspace(0.0, 400.0, 801)
-        loc = propagate(local_generator(coeffs), VACUUM, times)
-        glo = propagate(cg_redfield_generator(coeffs, 0.0), VACUUM, times)
+        loc = propagate(Scheme.local(coeffs), times)
+        glo = propagate(global_scheme(coeffs), times)
         mix = mixture_moments(loc, glo, p.mixture_rate)
         assert mix.n_plus[0] == loc.n_plus[0]
         assert mix.cross[0] == loc.cross[0]
@@ -316,8 +358,8 @@ class TestMixture:
     def test_grid_mismatch(self, coeffs):
         t1 = np.linspace(0.0, 10.0, 11)
         t2 = np.linspace(0.0, 10.0, 21)
-        loc = propagate(local_generator(coeffs), VACUUM, t1)
-        glo = propagate(cg_redfield_generator(coeffs, 0.0), VACUUM, t2)
+        loc = propagate(Scheme.local(coeffs), t1)
+        glo = propagate(global_scheme(coeffs), t2)
         with pytest.raises(DomainError):
             mixture_moments(loc, glo, 0.016)
 
@@ -330,4 +372,4 @@ class TestTrajectoryType:
 
     def test_state_round_trip(self):
         st = MomentState(1.0, 2.0, 0.5 + 0.25j)
-        assert MomentState.from_vector(st.as_vector()) == st
+        assert MomentState.from_vector([1.0, 2.0, 0.5, 0.25]) == st

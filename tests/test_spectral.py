@@ -46,18 +46,6 @@ class TestParams:
         with pytest.raises(ValidationError):
             ModelParams(beta=1.0, n_omega0=1.0)
 
-    def test_mixture_rate_defaults_and_follows_kappa0(self):
-        p = params()
-        assert p.mixture_rate == pytest.approx(0.4 * 0.04)
-        assert p.replace(kappa0=0.1).mixture_rate == pytest.approx(0.04)
-        assert p.replace(mixture_rate=0.5).mixture_rate == 0.5
-
-    def test_explicit_mixture_rate_survives_replace(self):
-        # an explicit rate that happens to equal 0.4*kappa0 is kept, not re-derived
-        p = ModelParams(kappa0=0.04, mixture_rate=0.016, n_omega0=1)
-        assert p.replace(kappa0=0.1).mixture_rate == 0.016
-        assert p.replace(kappa0=0.1).replace(kappa0=0.2).mixture_rate == 0.016
-
 
 class TestBoseFactor:
     def test_value_ten(self):
