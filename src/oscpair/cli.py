@@ -134,8 +134,9 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
                header=",".join(header), comments="")
 
 
-def _scheme_filename(name: str) -> str:
-    return name.replace(":", "_s") + ".csv"
+def _scheme_label(name: str) -> str:
+    """The scheme name as it appears in file names and column headers."""
+    return name.replace(":", "_s")
 
 
 def _state_summary(state: MomentState) -> dict:
@@ -197,7 +198,7 @@ def cmd_run(args) -> int:
             energies = runner.exact.energies
             header += ["e_s0", "e_sg", "e_1", "e_e"]
             cols += [energies[:, j] for j in range(4)]
-        tables[_scheme_filename(scheme)] = (header, cols)
+        tables[f"{_scheme_label(scheme)}.csv"] = (header, cols)
 
         if scheme == "exact":  # no closed-form fixed point, report the end of the run
             entry = {"final_state": _state_summary(traj.state(len(traj) - 1))}
@@ -272,7 +273,7 @@ def cmd_fidelity(args) -> int:
             cols.append(np.asarray(bound) ** 2)
             continue
         vals, physical = f2[scheme]
-        label = scheme.replace(":", "_s")
+        label = _scheme_label(scheme)
         # a filter past the CP bound may leave the physical states: flag, don't fail
         s = None if scheme == "exact" else resolve_scheme(scheme, runner.coeffs).filter_s
         if s is not None and abs(s) > cp_bound:
