@@ -10,7 +10,7 @@ from .errors import (ConsistencyError, CutoffError, DomainError, EstimationError
                      NonPhysicalStateError, OscPairError, PropagationError,
                      SteadyStateError, ValidationError)
 from .exact import ExactRun, exact_trajectory
-from .gaussian import (ABMoments, from_ab_basis, gaussian_fidelity, gaussian_fidelity_sq,
+from .gaussian import (from_ab_basis, gaussian_fidelity, gaussian_fidelity_sq,
                        lambda_c_trajectory, mixture_fidelity_lower_bound, to_ab_basis)
 from .fock import (TruncatedState, boundary_population, fidelity_truncated,
                    lindblad_propagate, number_expectations, thermal_product_state)
@@ -19,7 +19,7 @@ from .moments import (MomentState, Scheme, Trajectory, mixture_moments, propagat
 from .params import SATURATING, ModelParams
 from .runner import SchemeRunner, time_grid
 from .spectral import (CoefficientSet, CpThreshold, bath_modes, bose_factor,
-                       correlation_function, cp_bound_from_tensors, cp_threshold,
+                       correlation_function, cp_threshold,
                        dissipation_matrix, dissipator_coefficients, memory_time,
                        pv_integral, secular_filter, spectral_density)
 

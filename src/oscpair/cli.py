@@ -24,8 +24,8 @@ from .moments import MomentState, Trajectory, steady_state
 from .params import SATURATING, ModelParams
 from .presets import PRESETS, preset
 from .runner import SchemeRunner, parse_scheme, resolve_scheme, time_grid
-from .spectral import (CoefficientSet, bose_factor, cp_block_bounds, cp_bound_from_tensors,
-                       dissipation_matrix, dissipator_coefficients, memory_time)
+from .spectral import (cp_block_bounds, dissipation_matrix, dissipator_coefficients,
+                       memory_time)
 from . import verify as verify_mod
 
 
@@ -140,40 +140,21 @@ def _scheme_label(name: str) -> str:
 
 
 def _state_summary(state: MomentState) -> dict:
-    ab = to_ab_basis(state)
+    aa, bb, ab_dag = to_ab_basis(state)
     return {
         "n_plus": state.n_plus, "n_minus": state.n_minus,
         "re_cross": state.cross.real, "im_cross": state.cross.imag,
-        "aa": ab.aa, "bb": ab.bb,
-        "re_ab": ab.ab_dag.real, "im_ab": ab.ab_dag.imag,
+        "aa": aa, "bb": bb, "re_ab": ab_dag.real, "im_ab": ab_dag.imag,
     }
 
 
 def _trajectory_columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
-    ab = to_ab_basis(traj)
+    aa, bb, ab_dag = to_ab_basis(traj)
     header = ["t", "n_plus", "n_minus", "re_cross", "im_cross", "lambda_c",
               "aa", "bb", "re_ab", "im_ab"]
     cols = [traj.times, traj.n_plus, traj.n_minus, traj.cross.real, traj.cross.imag,
-            lambda_c_trajectory(traj), ab.aa, ab.bb, ab.ab_dag.real, ab.ab_dag.imag]
+            lambda_c_trajectory(traj), aa, bb, ab_dag.real, ab_dag.imag]
     return header, cols
-
-
-def _run_oracle_spot_check(cfg: RunConfig, coeffs: CoefficientSet) -> dict:
-    n_slow = bose_factor(cfg.params.omega_minus, cfg.params.beta)
-    if n_slow > 1.2:
-        raise ValidationError(
-            "oracle-verify needs small occupations (N(omega_minus) <= 1.2); "
-            f"got {n_slow:.3g}")
-    case_schemes = [s for s in cfg.schemes if s in ("local", "global")]
-    if not case_schemes:
-        raise ValidationError("oracle-verify needs local or global among the schemes")
-    times = np.linspace(0.0, min(cfg.times[-1], 20.0 / cfg.params.omega0), 5)
-    d = verify_mod._cutoff_for(min(n_slow, 1.2))
-    worst = max(verify_mod.moment_deviation(resolve_scheme(name, coeffs), d, times)[0]
-                for name in case_schemes)
-    if worst > 1e-4:
-        raise OscPairError(f"oracle spot check failed: moment deviation {worst:.2e}")
-    return {"schemes": case_schemes, "cutoff": d, "max_moment_deviation": worst}
 
 
 def _steady_entry(equation) -> dict:
@@ -221,13 +202,14 @@ def cmd_run(args) -> int:
         "lamb_shift": cfg.lamb_shift,
         "grid": {"start": cfg.grid[0], "stop": cfg.grid[1],
                  "count": cfg.grid[2], "kind": cfg.grid[3]},
-        "cp_threshold": cp_bound_from_tensors(runner.coeffs.gamma1, runner.coeffs.gamma2),
+        "cp_threshold": runner.coeffs.cp_bound,
         "tau_memory": tau_memory,
         "t_recurrence": cfg.params.recurrence_time,
         "schemes": summary_schemes,
     }
     if cfg.oracle_verify:
-        summary["oracle_verify"] = _run_oracle_spot_check(cfg, runner.coeffs)
+        summary["oracle_verify"] = verify_mod.spot_check(cfg.params, runner.coeffs,
+                                                         cfg.schemes, cfg.times[-1])
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     for name, (header, cols) in tables.items():
@@ -261,7 +243,6 @@ def cmd_fidelity(args) -> int:
     ref_traj = runner.trajectory(cfg.reference)
     f2 = {scheme: gaussian_fidelity_sq(runner.trajectory(scheme), ref_traj)
           for scheme in cfg.schemes if scheme != "mixture"}
-    cp_bound = cp_bound_from_tensors(runner.coeffs.gamma1, runner.coeffs.gamma2)
 
     header = ["t"]
     cols: list[np.ndarray] = [times]
@@ -276,14 +257,14 @@ def cmd_fidelity(args) -> int:
         label = _scheme_label(scheme)
         # a filter past the CP bound may leave the physical states: flag, don't fail
         s = None if scheme == "exact" else resolve_scheme(scheme, runner.coeffs).filter_s
-        if s is not None and abs(s) > cp_bound:
+        if s is not None and abs(s) > runner.coeffs.cp_bound:
             header += [f"re_f2_{label}", f"{label}_nonphysical"]
             cols += [vals, (~physical).astype(float)]
         else:
             if not physical.all():
                 raise OscPairError(
-                    f"scheme {scheme} produced non-physical fidelity input "
-                    f"at t = {times[np.argmin(physical)]}")
+                    f"scheme {scheme} against reference {cfg.reference} produced "
+                    f"non-physical fidelity input at t = {times[np.argmin(physical)]}")
             header.append(f"f2_{label}")
             cols.append(vals)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
@@ -299,6 +280,8 @@ def cmd_sweep(args) -> int:
     raw_values = [v.strip() for v in (args.values or "").split(",") if v.strip()]
     if not raw_values:
         raise ValidationError("sweep needs a non-empty --values list")
+    if len(set(raw_values)) < len(raw_values):
+        raise ValidationError(f"sweep --values repeats an entry: {args.values!r}")
     out_root = Path(args.out or ".")
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -326,11 +309,10 @@ def cmd_sweep(args) -> int:
 def cmd_threshold(args) -> int:
     cfg = build_config(args)
     coeffs = dissipator_coefficients(cfg.params, lamb_shift=cfg.lamb_shift)
-    bound = cp_bound_from_tensors(coeffs.gamma1, coeffs.gamma2)
-    print(f"cp_threshold = {_fmt(bound)}")
+    print(f"cp_threshold = {_fmt(coeffs.cp_bound)}")
     for i, block in enumerate(cp_block_bounds(coeffs.gamma1, coeffs.gamma2), start=1):
         print(f"block_{i}_bound = {_fmt(block) if np.isfinite(block) else 'unconstrained'}")
-    eigs = np.linalg.eigvalsh(dissipation_matrix(coeffs, bound))
+    eigs = np.linalg.eigvalsh(dissipation_matrix(coeffs, coeffs.cp_bound))
     print("dissipation_matrix_eigenvalues_at_bound = "
           + " ".join(_fmt(e) for e in eigs))
     return 0
@@ -339,6 +321,8 @@ def cmd_threshold(args) -> int:
 def cmd_verify(args) -> int:
     if args.draws < 1:
         raise ValidationError(f"--draws must be >= 1, got {args.draws}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     reports = verify_mod.run_suite(args.draws, args.seed, verbose=True)
     worst_m = max(r.max_moment_error for r in reports)
     worst_f = max(r.max_fidelity_error for r in reports)

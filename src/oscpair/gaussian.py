@@ -3,13 +3,13 @@
 A zero-mean excitation-conserving two-mode Gaussian state is fixed by its
 moments (n₊, n₋, ⟨γ₋γ₊†⟩), so the diagnostics are 2×2 closed forms in them,
 evaluated elementwise on a :class:`~oscpair.moments.MomentState` or a whole
-trajectory. The 4×4 covariance of :func:`eigenmode_covariance` is the
-eigenvalue route the tests check these closed forms against.
+trajectory; the uncertainty test is the ``physical`` flag of
+:func:`gaussian_fidelity_sq`. The 4×4 covariance of
+:func:`eigenmode_covariance` is the eigenvalue route the tests check these
+closed forms against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,6 @@ def eigenmode_covariance(state: MomentState) -> np.ndarray:
     ], dtype=complex)
 
 
-def _lambda_c(state):
-    """½[n₊ + n₋ − sqrt((n₊−n₋)² + 4|⟨γ₋γ₊†⟩|²)], elementwise."""
-    npl, nmi = state.n_plus, state.n_minus
-    return 0.5 * (npl + nmi - np.hypot(npl - nmi, 2.0 * np.abs(state.cross)))
-
-
 def lambda_c_trajectory(traj):
     """Positivity diagnostic λ_c = ½ min eig(Γ + iΞ); negative ⇔ unphysical state.
 
@@ -42,7 +36,8 @@ def lambda_c_trajectory(traj):
     ½[n₊ + n₋ − sqrt((n₊−n₋)² + 4|⟨γ₋γ₊†⟩|²)], elementwise along a moment
     trajectory, or as a scalar for a single state.
     """
-    return _lambda_c(traj)
+    npl, nmi = traj.n_plus, traj.n_minus
+    return 0.5 * (npl + nmi - np.hypot(npl - nmi, 2.0 * np.abs(traj.cross)))
 
 
 def _violates_uncertainty(state):
@@ -50,7 +45,7 @@ def _violates_uncertainty(state):
     u, v, q = _doubled(state)
     scale = np.maximum(np.maximum(1.0, np.abs(u + 1.0)),
                        np.maximum(np.abs(v + 1.0), np.abs(q)))
-    return 2.0 * _lambda_c(state) < -1e-8 * scale
+    return 2.0 * lambda_c_trajectory(state) < -1e-8 * scale
 
 
 def _doubled(state):
@@ -85,10 +80,9 @@ def gaussian_fidelity_sq(state1, state2):
     non-negative real and the flag is True; values in (1, 1+1e−9] are then
     clamped to 1, and larger overshoot raises ``ConsistencyError``. A pair
     with an input that violates the uncertainty relation (2λ_c below
-    −1e−8 of its scale, as :func:`gaussian_fidelity` tests; e.g. a
-    plain-Redfield output) or that drives the radicands complex is reported
-    as the real part of the principal-branch value, unclamped, with the flag
-    False.
+    −1e−8 of its scale; e.g. a plain-Redfield output) or that drives the
+    radicands complex is reported as the real part of the principal-branch
+    value, unclamped, with the flag False.
     """
     u1, v1, q1 = _doubled(state1)
     u2, v2, q2 = _doubled(state2)
@@ -123,20 +117,16 @@ def gaussian_fidelity(state1, state2):
     """Uhlmann fidelity F ∈ [0, 1] for physical zero-mean two-mode Gaussian states.
 
     Takes states or trajectories as :func:`gaussian_fidelity_sq` does. Raises
-    ``NonPhysicalStateError`` when either min eig(Γ + iΞ) = 2λ_c is below
-    −1e−8 or the closed formula leaves the real axis; use
-    :func:`gaussian_fidelity_sq` for the flagged real-part value.
+    ``NonPhysicalStateError`` wherever that function's ``physical`` flag is
+    False: an input violates the uncertainty relation or the closed formula
+    leaves the real axis. Use :func:`gaussian_fidelity_sq` for the flagged
+    real-part value.
     """
-    for state in (state1, state2):
-        if np.any(_violates_uncertainty(state)):
-            raise NonPhysicalStateError(
-                "covariance violates the uncertainty relation; "
-                "use gaussian_fidelity_sq for the flagged value")
     f2, physical = gaussian_fidelity_sq(state1, state2)
     if not np.all(physical):
         raise NonPhysicalStateError(
-            "fidelity formula left the real axis; "
-            "use gaussian_fidelity_sq for the flagged value")
+            "non-physical fidelity input (uncertainty relation violated or "
+            "formula off the real axis); use gaussian_fidelity_sq for the flagged value")
     f = np.sqrt(np.maximum(f2, 0.0))
     return float(f) if np.ndim(f) == 0 else f
 
@@ -155,32 +145,22 @@ def mixture_fidelity_lower_bound(f_loc, f_glob, mixture_rate: float, t):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ABMoments:
-    """Second moments in the physical mode basis: ⟨a†a⟩, ⟨b†b⟩, ⟨ab†⟩."""
-
-    aa: float
-    bb: float
-    ab_dag: complex
-
-
-def to_ab_basis(state: MomentState) -> ABMoments:
-    """Eigenmode → a,b basis:
+def to_ab_basis(state: MomentState) -> tuple[float, float, complex]:
+    """Eigenmode → a,b basis, the triple (⟨a†a⟩, ⟨b†b⟩, ⟨ab†⟩):
     ⟨a†a⟩±⟨b†b⟩ = (n₊+n₋) or 2Re⟨γ₋γ₊†⟩, ⟨ab†⟩ = ½(n₊−n₋) + i Im⟨γ₋γ₊†⟩.
 
     Also maps whole trajectories: given a :class:`~oscpair.moments.Trajectory`,
-    each field of the result is an array over its time grid.
+    each entry of the triple is an array over its time grid.
     """
     total = state.n_plus + state.n_minus
-    return ABMoments(
-        aa=0.5 * total + state.cross.real,
-        bb=0.5 * total - state.cross.real,
-        ab_dag=0.5 * (state.n_plus - state.n_minus) + 1j * state.cross.imag,
-    )
+    return (0.5 * total + state.cross.real,
+            0.5 * total - state.cross.real,
+            0.5 * (state.n_plus - state.n_minus) + 1j * state.cross.imag)
 
 
 def from_ab_basis(aa: float, bb: float, ab_dag: complex) -> MomentState:
-    """Inverse of :func:`to_ab_basis`; the two are exact inverses.
+    """Inverse of :func:`to_ab_basis`, so ``from_ab_basis(*to_ab_basis(s))``
+    round-trips; the two are exact inverses.
 
     Also maps whole trajectories: with equal-shape arrays in, each field of
     the returned state is an array.

@@ -181,9 +181,10 @@ def propagate(scheme: Scheme, times) -> Trajectory:
     x(t) = ∫₀ᵗ e^{As} b ds = V diag(φ(λ, t)) V⁻¹ b through the eigendecomposition
     A = VΛV⁻¹, with φ(λ, t) = expm1(λt)/λ and φ(0, t) = t. The t = 0 row is
     exactly zero, and a singular A (a dark mode, no dissipation) needs no fixed
-    point. Only a defective A, cond(V) ≥ 1e8, is evaluated per time point as
-    the exponential of the augmented matrix [[A, b], [0, 0]] instead. Either
-    way the result is exact up to linear-algebra roundoff.
+    point. Only a defective A, cond(V) ≥ 1e8, is evaluated instead as the
+    exponential of the augmented matrix [[A, b], [0, 0]]·t, in one batched
+    call over the grid. Either way the result is exact up to linear-algebra
+    roundoff.
     """
     times = grid_from_zero(times)
     a, b = scheme.generator()
@@ -204,11 +205,10 @@ def propagate(scheme: Scheme, times) -> Trajectory:
         aug = np.zeros((5, 5))
         aug[:4, :4] = a
         aug[:4, 4] = b
-        x = np.empty((times.size, 4))
-        for i, t in enumerate(times):
-            x[i] = expm(aug * t)[:4, 4]
-            if not np.all(np.isfinite(x[i])):
-                raise PropagationError(f"propagation diverged at t = {t}")
+        x = expm(aug * times[:, None, None])[:, :4, 4]
+        diverged = ~np.isfinite(x).all(axis=1)
+        if diverged.any():
+            raise PropagationError(f"propagation diverged at t = {times[diverged.argmax()]}")
 
     return Trajectory(times, x[:, 0], x[:, 1], x[:, 2] + 1j * x[:, 3])
 

@@ -17,7 +17,7 @@ from . import exact as exact_mod
 from .errors import ValidationError
 from .moments import Scheme, Trajectory, mixture_moments, propagate
 from .params import ModelParams
-from .spectral import CoefficientSet, cp_bound_from_tensors, dissipator_coefficients
+from .spectral import CoefficientSet, dissipator_coefficients
 
 SCHEMES = ("exact", "redfield", "cp_redfield", "cg_redfield", "global", "local", "mixture")
 
@@ -43,7 +43,7 @@ def parse_scheme(name: str) -> tuple[str, float | None]:
 def resolve_scheme(name: str, coeffs: CoefficientSet) -> Scheme:
     """The master equation a scheme name stands for, at the given coefficients.
 
-    Filter values: Redfield 1, global 0, CP-Redfield the positivity bound,
+    Filter values: Redfield 1, global 0, CP-Redfield ``coeffs.cp_bound``,
     ``cg_redfield`` the explicit ``:s`` or else the ``delta_t`` filter already
     resolved in ``coeffs.s_offdiag``.
     """
@@ -55,7 +55,7 @@ def resolve_scheme(name: str, coeffs: CoefficientSet) -> Scheme:
     elif kind == "global":
         s = 0.0
     elif kind == "cp_redfield":
-        s = cp_bound_from_tensors(coeffs.gamma1, coeffs.gamma2)
+        s = coeffs.cp_bound
     elif kind == "cg_redfield":
         s = coeffs.s_offdiag if s is None else s
     else:

@@ -2,6 +2,8 @@
 
 Everything here is a pure function of its inputs; :class:`CoefficientSet`
 instances are immutable once built, so concurrent use needs no locking.
+The complete-positivity bound on the Redfield filter has one owner,
+``CoefficientSet.cp_bound``.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def secular_filter(delta_t, g: float) -> np.ndarray:
 
     Accepts Δt = ∞ (full secular limit, off-diagonal 0) and the
     ``"saturating"`` sentinel is *not* resolved here — it needs the
-    positivity threshold, see :func:`cp_threshold`.
+    positivity bound, which :func:`dissipator_coefficients` substitutes.
     """
     if isinstance(delta_t, str):
         raise DomainError(
@@ -234,8 +236,9 @@ class CoefficientSet:
     The eigenfrequencies ω± and the A-mode constants κ(ω0), N(ω0) and δω_A
     feed the local scheme; ``s_offdiag`` is the off-diagonal filter value
     implied by the delta_t of the parameters, which generators may override.
-    Rates and occupations at ω± live in the γ diagonals, and the eigenmode
-    Lamb shifts in the η diagonals.
+    ``cp_bound`` is the complete-positivity bound on |s|, the smaller of the
+    :func:`cp_block_bounds` and 1. Rates and occupations at ω± live in the γ
+    diagonals, and the eigenmode Lamb shifts in the η diagonals.
     """
 
     omega_plus: float
@@ -248,6 +251,7 @@ class CoefficientSet:
     eta2: np.ndarray
     delta_omega_a: float
     s_offdiag: float
+    cp_bound: float
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2", "eta1", "eta2"):
@@ -289,8 +293,9 @@ def dissipator_coefficients(params: ModelParams, *, lamb_shift: bool = True) -> 
 
     delta_omega_a = -pv_integral("bare", params.omega0, params) if lamb_shift else 0.0
 
+    cp_bound = float(min(*cp_block_bounds(gamma1, gamma2), 1.0))
     if params.delta_t == SATURATING:
-        s_off = cp_bound_from_tensors(gamma1, gamma2)
+        s_off = cp_bound
     else:
         s_off = secular_filter(params.delta_t, params.g)[0, 1]
 
@@ -305,6 +310,7 @@ def dissipator_coefficients(params: ModelParams, *, lamb_shift: bool = True) -> 
         eta2=eta2,
         delta_omega_a=delta_omega_a,
         s_offdiag=float(s_off),
+        cp_bound=cp_bound,
     )
 
 
@@ -331,12 +337,6 @@ def cp_block_bounds(gamma1: np.ndarray, gamma2: np.ndarray) -> list[float]:
             if abs(gam[_P, _M]) > 0.0 else math.inf for gam in (gamma1, gamma2)]
 
 
-def cp_bound_from_tensors(gamma1: np.ndarray, gamma2: np.ndarray) -> float:
-    """The smaller of the :func:`cp_block_bounds`, clamped to 1; 1 also when
-    neither block constrains the Redfield filter."""
-    return float(min(*cp_block_bounds(gamma1, gamma2), 1.0))
-
-
 class CpThreshold(NamedTuple):
     bound: float
     matrix: np.ndarray  # dissipation matrix evaluated at the bound
@@ -350,5 +350,4 @@ def cp_threshold(params: ModelParams, *, lamb_shift: bool = True) -> CpThreshold
     the clamp at 1 was active.
     """
     coeffs = dissipator_coefficients(params, lamb_shift=lamb_shift)
-    bound = cp_bound_from_tensors(coeffs.gamma1, coeffs.gamma2)
-    return CpThreshold(bound, dissipation_matrix(coeffs, bound))
+    return CpThreshold(coeffs.cp_bound, dissipation_matrix(coeffs, coeffs.cp_bound))

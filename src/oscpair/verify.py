@@ -1,12 +1,12 @@
 """Oracle equivalence checks: Fock-space propagation against the Gaussian pipeline.
 
-Used by the ``verify`` CLI subcommand, by ``run --oracle-verify`` and by the
-test suite, which runs the subcommand's default draws. Each case draws model
-parameters in the small-occupation regime the truncated oracle can certify,
-chooses the per-mode cutoff d from a thermal tail bound, propagates one
-scheme both ways, and compares moment trajectories plus Uhlmann fidelities
-against a thermal reference state. The oracle works on the 2d−1
-total-excitation blocks of at most d states each (see :mod:`oscpair.fock`),
+Used by the ``verify`` CLI subcommand, by ``run --oracle-verify``
+(:func:`spot_check`, on the same ``_N_TIMES`` and ``_TOLERANCE``) and by the
+test suite. Each case draws model parameters in the small-occupation regime
+the truncated oracle can certify, chooses the per-mode cutoff d from a
+thermal tail bound, propagates one scheme both ways, and compares moment
+trajectories plus Uhlmann fidelities against a thermal reference state. The
+oracle works on the 2d−1 total-excitation blocks of at most d states each (see :mod:`oscpair.fock`),
 so its cost grows as d⁴ rather than as the d⁶ of dense d² × d² products.
 """
 
@@ -17,19 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConsistencyError, ValidationError
 from .fock import (TruncatedState, fidelity_truncated, lindblad_propagate,
                    number_expectations, thermal_product_state)
 from .gaussian import gaussian_fidelity
 from .moments import MomentState, Scheme, Trajectory, propagate
 from .params import ModelParams, bose_occupation
 from .runner import resolve_scheme
-from .spectral import cp_threshold, dissipator_coefficients
+from .spectral import CoefficientSet, bose_factor, cp_threshold, dissipator_coefficients
 
 _SCHEME_CYCLE = ("local", "global", "cg_redfield")
 _OCCUPANCY_BUDGET = 0.35
 #: output times per case, from t = 0 to t_max; fidelities are probed at the
 #: middle and the last
 _N_TIMES = 5
+#: largest moment or fidelity deviation between the two routes that passes
+_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class EquivalenceReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_moment_error <= 1e-4 and self.max_fidelity_error <= 1e-4
+        return self.max_moment_error <= _TOLERANCE and self.max_fidelity_error <= _TOLERANCE
 
 
 def moment_deviation(scheme: Scheme, cutoff: int,
@@ -116,6 +119,26 @@ def run_case(case: EquivalenceCase) -> EquivalenceReport:
         f_gauss = gaussian_fidelity(traj.state(i), ref_moments)
         fid_err = max(fid_err, abs(f_fock - f_gauss), abs(f_fock**2 - f_gauss**2))
     return EquivalenceReport(case, moment_err, fid_err)
+
+
+def spot_check(params: ModelParams, coeffs: CoefficientSet, schemes, t_end: float) -> dict:
+    """Moments of the local and global ``schemes`` against the oracle on
+    [0, min(t_end, 20/ω0)]; needs N(ω₋) ≤ 1.2, so that the cutoff certifies them."""
+    n_slow = bose_factor(params.omega_minus, params.beta)
+    if n_slow > 1.2:
+        raise ValidationError(
+            "oracle-verify needs small occupations (N(omega_minus) <= 1.2); "
+            f"got {n_slow:.3g}")
+    case_schemes = [s for s in schemes if s in ("local", "global")]
+    if not case_schemes:
+        raise ValidationError("oracle-verify needs local or global among the schemes")
+    times = np.linspace(0.0, min(t_end, 20.0 / params.omega0), _N_TIMES)
+    d = _cutoff_for(n_slow)
+    worst = max(moment_deviation(resolve_scheme(name, coeffs), d, times)[0]
+                for name in case_schemes)
+    if worst > _TOLERANCE:
+        raise ConsistencyError(f"oracle spot check failed: moment deviation {worst:.2e}")
+    return {"schemes": case_schemes, "cutoff": d, "max_moment_deviation": worst}
 
 
 def run_suite(draws: int, seed: int, *, verbose: bool = False) -> list[EquivalenceReport]:

@@ -170,6 +170,18 @@ def test_run_oracle_spot_check(tmp_path):
     assert oracle["max_moment_deviation"] <= 1e-9
 
 
+def test_failed_oracle_spot_check_exits_2(tmp_path, monkeypatch, capsys):
+    # a deviation just past the tolerance fails the spot check and a verify draw alike
+    monkeypatch.setattr(verify, "moment_deviation", lambda *args: (2e-4, [], None))
+    out = tmp_path / "out"
+    argv = ["run", "--preset", "fig9b", "--oracle-verify", "on", "--out", str(out)]
+    assert main(argv) == 2
+    assert "oracle spot check failed" in capsys.readouterr().err
+    assert not out.exists()
+    case = verify.draw_case(np.random.default_rng(3))
+    assert not verify.EquivalenceReport(case, 2e-4, 0.0).passed
+
+
 def test_verify_one_draw():
     assert main(["verify", "--draws", "1", "--seed", "3"]) == 0
 
@@ -206,9 +218,30 @@ def test_threshold_builds_coefficients_once(capsys, monkeypatch):
     assert out == "\n".join(lines) + "\n"
 
 
-def test_verify_rejects_zero_draws(capsys):
-    assert main(["verify", "--draws", "0"]) == 1
-    assert capsys.readouterr().err.startswith("error: --draws must be >= 1")
+@pytest.mark.parametrize("argv, message", [
+    (["--draws", "0"], "error: --draws must be >= 1"),
+    (["--draws", "1", "--seed", "-1"], "error: --seed must be >= 0"),
+])
+def test_verify_rejects_bad_arguments(capsys, argv, message):
+    assert main(["verify", *argv]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_non_physical_fidelity_error_names_the_reference(tmp_path, capsys):
+    # the non-physical states are the Redfield reference's: cp_redfield against exact is physical
+    out = tmp_path / "out"
+    argv = ["fidelity", "--preset", "fig9b", "--reference", "redfield", "--out", str(out)]
+    assert main(argv) == 2
+    assert "against reference redfield" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_repeated_values(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--preset", "fig7", "--axis", "M", "--values", "50,50", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: sweep --values repeats an entry")
+    assert not out.exists()
 
 
 def test_presets_resolve():

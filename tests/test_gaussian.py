@@ -257,14 +257,19 @@ class TestGaussianFidelity:
         ratios = defects[:-1] / defects[1:]
         assert np.all((ratios > 3.0) & (ratios < 5.0))  # 1-F = O(eps^2)
 
-    def test_nonphysical_input_is_flagged(self):
-        bad = MomentState(0.001, 0.001, 0.5)
-        good = MomentState(1.0, 1.0, 0j)
-        with pytest.raises(NonPhysicalStateError):
-            gaussian_fidelity(bad, good)
-        f2, physical = gaussian_fidelity_sq(bad, good)
-        assert not physical
-        assert np.isfinite(f2)
+    # against a pure state (the vacuum) c = 0, so only the uncertainty test sees
+    # the violation
+    @pytest.mark.parametrize("bad, good", [
+        (MomentState(0.001, 0.001, 0.5), MomentState(1.0, 1.0, 0j)),
+        (MomentState(0.0, 0.0, 1.12), VACUUM),
+    ])
+    def test_nonphysical_input_is_flagged(self, bad, good):
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(NonPhysicalStateError):
+                gaussian_fidelity(*pair)
+            f2, physical = gaussian_fidelity_sq(*pair)
+            assert not physical
+            assert np.isfinite(f2)
 
     def test_trajectory_against_reference(self, fig4_params):
         # the route of the fidelity subcommand: whole trajectories in, one call
@@ -383,20 +388,18 @@ class TestMixtureBound:
 
 class TestBasisChange:
     def test_symmetric_state(self):
-        ab = to_ab_basis(MomentState(2.0, 2.0, 0j))
-        assert ab.aa == 2.0 and ab.bb == 2.0 and ab.ab_dag == 0j
+        assert to_ab_basis(MomentState(2.0, 2.0, 0j)) == (2.0, 2.0, 0j)
 
     def test_local_steady_state(self):
-        ab = to_ab_basis(MomentState(10.0, 10.0, 0j))
-        assert ab.aa == ab.bb == 10.0
-        assert ab.ab_dag == 0j
+        aa, bb, ab_dag = to_ab_basis(MomentState(10.0, 10.0, 0j))
+        assert aa == bb == 10.0
+        assert ab_dag == 0j
 
     def test_round_trip_exact(self, rng):
         for _ in range(200):
             st = MomentState(rng.uniform(0, 5), rng.uniform(0, 5),
                              complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-            ab = to_ab_basis(st)
-            back = from_ab_basis(ab.aa, ab.bb, ab.ab_dag)
+            back = from_ab_basis(*to_ab_basis(st))
             assert back.n_plus == pytest.approx(st.n_plus, abs=1e-15)
             assert back.n_minus == pytest.approx(st.n_minus, abs=1e-15)
             assert back.cross == pytest.approx(st.cross, abs=1e-15)
@@ -405,16 +408,15 @@ class TestBasisChange:
     @given(_occupation, _occupation, st_.floats(-10.0, 10.0), st_.floats(-10.0, 10.0))
     def test_round_trip_property(self, n1, n2, re_c, im_c):
         st = MomentState(n1, n2, complex(re_c, im_c))
-        ab = to_ab_basis(st)
-        back = from_ab_basis(ab.aa, ab.bb, ab.ab_dag)
+        back = from_ab_basis(*to_ab_basis(st))
         tol = 4 * np.finfo(float).eps * max(1.0, n1 + n2 + abs(st.cross))
         assert abs(back.n_plus - n1) <= tol and abs(back.n_minus - n2) <= tol
         assert abs(back.cross - st.cross) <= tol
 
     def test_identities(self, rng):
         st = MomentState(1.3, 0.4, 0.2 - 0.7j)
-        ab = to_ab_basis(st)
-        assert 0.5 * (ab.aa - ab.bb) == pytest.approx(st.cross.real)
-        assert ab.ab_dag.imag == pytest.approx(st.cross.imag)
-        assert ab.ab_dag.real == pytest.approx(0.5 * (st.n_plus - st.n_minus))
-        assert ab.aa + ab.bb == pytest.approx(st.n_plus + st.n_minus)
+        aa, bb, ab_dag = to_ab_basis(st)
+        assert 0.5 * (aa - bb) == pytest.approx(st.cross.real)
+        assert ab_dag.imag == pytest.approx(st.cross.imag)
+        assert ab_dag.real == pytest.approx(0.5 * (st.n_plus - st.n_minus))
+        assert aa + bb == pytest.approx(st.n_plus + st.n_minus)
