@@ -15,14 +15,19 @@ a fresh worker process that imports ``oscpair`` from one tree only:
 - ``lindblad_propagate`` of the global scheme from the vacuum to t = 40
   (five output times) at d = 14, 20, 40;
 - the work of ``oscpair verify --draws 3 --seed 3`` (``verify.run_suite``);
-- ``oscpair run --preset fig9b --oracle-verify on``.
+- ``oscpair run --preset fig9b --oracle-verify on``;
+- fresh processes: ``import oscpair``, ``oscpair fidelity --preset fig6`` and
+  ``oscpair run --preset fig5``, each timed from the spawn of its interpreter
+  to its exit, so import costs count.
 
-Each is repeated ``--repeats`` times inside its worker; a worker that exceeds
-``--timeout`` seconds is stopped and its finished repeats are kept, with the
-limit recorded. Besides the times, every repeat records its outputs (moments,
+Each is repeated ``--repeats`` times inside its worker (a fresh-process case
+starts one interpreter per repeat); a worker that exceeds ``--timeout``
+seconds is stopped and its finished repeats are kept, with the limit
+recorded. Besides the times, every repeat records its outputs (moments,
 fidelities, the verify reports, the spot check's summary), and the record
 gives the largest absolute difference of its outputs between the two trees:
-the accuracy delta of the change. Outputs longer than ``MAX_STORED`` values
+the accuracy delta of the change; a fresh-process case's outputs are the
+values of the CSV files it writes. Outputs longer than ``MAX_STORED`` values
 (trajectories, the sweep's CSVs) enter the delta but not the record. A case's
 ``size`` is the cutoff d of a Fock case and the bath size M of an exact case.
 Machine, libraries, BLAS and its thread settings come from
@@ -36,6 +41,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -54,11 +60,16 @@ MAX_STORED = 64
 #: the oracle workload's cost class: global scheme, N(omega0) >= 0.16, kappa0 in [0.04, 0.05)
 PARAMS = dict(g=0.2, kappa0=0.045, alpha=1.0, n_omega0=0.3)
 OCCUPATIONS = ((0.3, 0.2), (0.2, 0.25))   # certified by d = 14 under the 1e-8 tail rule
+#: fresh-process cases: the ``oscpair`` arguments, or None for ``import oscpair`` alone
+FRESH = {"fresh_import": None,
+         "fresh_fidelity_fig6": ["fidelity", "--preset", "fig6"],
+         "fresh_run_fig5": ["run", "--preset", "fig5"]}
 CASES = ([("exact_trajectory", m) for m in BATH_SIZES] + [("sweep_M", None)]
          + [("thermal_product_state", d) for d in CUTOFFS]
          + [("fidelity_truncated", d) for d in CUTOFFS]
          + [("lindblad_propagate", d) for d in CUTOFFS]
-         + [("verify_draws3_seed3", None), ("run_fig9b_oracle", None)])
+         + [("verify_draws3_seed3", None), ("run_fig9b_oracle", None)]
+         + [(op, None) for op in FRESH])
 
 
 def _moments(fock, state) -> list[float]:
@@ -88,11 +99,10 @@ def _run_case(op: str, size: int | None):
             start = time.perf_counter()
             code = cli.main(SWEEP_ARGV + ["--out", out])
             elapsed = time.perf_counter() - start
-            values = [np.loadtxt(path, delimiter=",", skiprows=1).ravel()
-                      for path in sorted(Path(out).rglob("*.csv"))]
+            values = _csv_values(Path(out))
         if code != 0:
             raise RuntimeError(f"sweep exited {code}")
-        return elapsed, np.concatenate(values).tolist()
+        return elapsed, values
     if op == "thermal_product_state":
         start = time.perf_counter()
         state = fock.thermal_product_state(*OCCUPATIONS[0], size)
@@ -137,7 +147,44 @@ def _worker(src: str, op: str, size: int | None, repeats: int) -> None:
         print(json.dumps({"seconds": seconds, "outputs": outputs}), flush=True)
 
 
+def _csv_values(out: Path) -> list[float]:
+    import numpy as np
+
+    return [x for path in sorted(out.rglob("*.csv"))
+            for x in np.loadtxt(path, delimiter=",", skiprows=1).ravel().tolist()]
+
+
+def _measure_fresh(src: Path, op: str, repeats: int, timeout: float) -> dict:
+    """Time ``repeats`` fresh interpreters running one case, each from spawn to exit."""
+    src = src.resolve()
+    code = f"import sys, oscpair; assert oscpair.__file__.startswith({str(src)!r})"
+    if FRESH[op] is not None:
+        code += f"; from oscpair.cli import main; sys.exit(main({FRESH[op] + ['--out', 'out']!r}))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = {"seconds": [], "outputs": None}
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory() as cwd:
+            start = time.monotonic()
+            try:
+                proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                                      capture_output=True, timeout=timeout)
+            except subprocess.TimeoutExpired:
+                out["timed_out_after_s"] = timeout
+                break
+            elapsed = time.monotonic() - start
+            if proc.returncode != 0:
+                out["exit_code"] = proc.returncode
+                break
+            out["seconds"].append(elapsed)
+            out["outputs"] = _csv_values(Path(cwd))
+    if out["seconds"]:
+        out["median_s"] = statistics.median(out["seconds"])
+    return out
+
+
 def _measure(src: Path, op: str, size: int | None, repeats: int, timeout: float) -> dict:
+    if op in FRESH:
+        return _measure_fresh(src, op, repeats, timeout)
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker",
             "--src", str(src.resolve()), "--op", op, "--repeats", str(repeats)]
     if size is not None:

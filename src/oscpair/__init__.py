@@ -4,6 +4,12 @@ Five approximation schemes (Redfield, coarse-grained/CP-Redfield, global,
 local, convex mixture) propagated as closed-form Gaussian moment systems,
 benchmarked against the exactly solvable system+bath model, with positivity
 diagnostics, Gaussian fidelities and a truncated-Fock-space oracle.
+
+The oracle, :mod:`oscpair.fock` and :mod:`oscpair.verify`, is the one part
+that needs SciPy (``solve_ivp``). It is not imported here, so ``import
+oscpair`` and the ``run``, ``fidelity``, ``sweep`` and ``threshold``
+commands load no SciPy module unless ``--oracle-verify on`` asks for the
+oracle.
 """
 
 from .errors import (ConsistencyError, CutoffError, DomainError, EstimationError,
@@ -12,8 +18,6 @@ from .errors import (ConsistencyError, CutoffError, DomainError, EstimationError
 from .exact import ExactRun, exact_trajectory
 from .gaussian import (from_ab_basis, gaussian_fidelity, gaussian_fidelity_sq,
                        lambda_c_trajectory, mixture_fidelity_lower_bound, to_ab_basis)
-from .fock import (TruncatedState, boundary_population, fidelity_truncated,
-                   lindblad_propagate, number_expectations, thermal_product_state)
 from .moments import (MomentState, Scheme, Trajectory, mixture_moments, propagate,
                       steady_state)
 from .params import SATURATING, ModelParams

@@ -26,7 +26,6 @@ from .presets import PRESETS, preset
 from .runner import SchemeRunner, parse_scheme, resolve_scheme, time_grid
 from .spectral import (cp_block_bounds, dissipation_matrix, dissipator_coefficients,
                        memory_time)
-from . import verify as verify_mod
 
 
 def _delta_t(value: str) -> float | str:
@@ -208,8 +207,9 @@ def cmd_run(args) -> int:
         "schemes": summary_schemes,
     }
     if cfg.oracle_verify:
-        summary["oracle_verify"] = verify_mod.spot_check(cfg.params, runner.coeffs,
-                                                         cfg.schemes, cfg.times[-1])
+        from .verify import spot_check  # the Fock oracle loads SciPy; only this branch needs it
+        summary["oracle_verify"] = spot_check(cfg.params, runner.coeffs, cfg.schemes,
+                                              cfg.times[-1])
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     for name, (header, cols) in tables.items():
@@ -280,8 +280,16 @@ def cmd_sweep(args) -> int:
     raw_values = [v.strip() for v in (args.values or "").split(",") if v.strip()]
     if not raw_values:
         raise ValidationError("sweep needs a non-empty --values list")
-    if len(set(raw_values)) < len(raw_values):
-        raise ValidationError(f"sweep --values repeats an entry: {args.values!r}")
+
+    def parsed(text: str):  # a value --set's parser rejects fails in its own run below
+        try:
+            return _parse_set([f"{args.axis}={text}"])[args.axis]
+        except ValidationError:
+            return text
+
+    if len(set(map(parsed, raw_values))) < len(raw_values):
+        raise ValidationError(
+            f"sweep --values repeats an entry once parsed: {args.values!r}")
     out_root = Path(args.out or ".")
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -323,7 +331,8 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--draws must be >= 1, got {args.draws}")
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-    reports = verify_mod.run_suite(args.draws, args.seed, verbose=True)
+    from .verify import run_suite  # the Fock oracle loads SciPy; only verify needs it
+    reports = run_suite(args.draws, args.seed, verbose=True)
     worst_m = max(r.max_moment_error for r in reports)
     worst_f = max(r.max_fidelity_error for r in reports)
     ok = all(r.passed for r in reports)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError, PropagationError, SteadyStateError
 from .spectral import CoefficientSet
@@ -157,6 +156,13 @@ def cg_redfield_generator(coeffs: CoefficientSet, s: float) -> tuple[np.ndarray,
 def local_generator(coeffs: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
     """Moment generator (A, b) of the local master equation (dissipation on mode A only)."""
     return Scheme.local(coeffs).generator()
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``, imported on the first call so that SciPy stays
+    off the run path: only :func:`propagate`'s defective-generator fallback needs it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 #: cond(V) from which A counts as defective and propagate uses the augmented expm

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, EstimationError
-from .params import SATURATING, ModelParams, bose_occupation
+from .params import SATURATING, ModelParams
 
 PV_KINDS = ("N", "1+N", "bare")
 
@@ -147,21 +147,53 @@ def memory_time(params: ModelParams) -> float:
     return tau_e
 
 
-#: absolute error target of each quadrature in pv_integral
-_PV_EPSABS = 1e-11
+#: Gauss–Jacobi nodes on pv_integral's head [0, ε_h]
+_HEAD_NODES = 60
+#: Gauss–Legendre nodes on each piece of pv_integral's tail [ε_h, ωc]
+_TAIL_NODES = 120
+
+
+@lru_cache(maxsize=32)
+def _jacobi_rule(power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule for ∫₀¹ x^power φ(x) dx, power > −1.
+
+    Golub–Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    monic Jacobi polynomials P^(0, power) shifted to [0, 1], the weights the
+    squared first components of the eigenvectors times ∫₀¹ x^power dx.
+    """
+    k = np.arange(1, _HEAD_NODES)
+    s = 2.0 * k + power
+    diag = 0.5 + 0.5 * np.concatenate(([power / (power + 2.0)], power**2 / (s * (s + 2.0))))
+    off = k * (k + power) / (s * np.sqrt(s**2 - 1.0))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vecs[0] ** 2 / (power + 1.0)
+
+
+@lru_cache(maxsize=1)
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss–Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(_TAIL_NODES)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
     """Cauchy principal value  P∫₀^{ωc} f(ε)/(ε − ω_t) dε.
 
     f(ε) = κ(ε)w(ε)/2π with w = N(ε), 1+N(ε) or 1 for ``kind`` in
-    {"N", "1+N", "bare"}. The band is split at ε_h = min(ω_t/2, ω0), and for
-    the thermal weights also at 40/β, below which a cold bath's occupation
-    sits. The head [0, ε_h] is integrated by QUADPACK's algebraic-weight rule
-    (QAWS) with weight ε^{α−1} and the smooth factor εw(ε)/(ε−ω_t), where
-    εN(ε) → 1/β at ε = 0 (weight ε^α and factor 1/(ε−ω_t) for "bare"); the
-    rest [ε_h, ωc], which holds the pole, by the Cauchy-weight rule (QAWC).
-    Both are from QUADPACK (Piessens et al., Springer 1983) via ``quad``.
+    {"N", "1+N", "bare"}. Write f(ε) = c·ε^p·φ(ε) with p = α − 1 and the
+    smooth φ = εw(ε), where εN(ε) → 1/β at ε = 0 (p = α and φ = 1 for "bare").
+    The band is split at ε_h = min(ω_t/2, ω0), and for the thermal weights
+    also at 40/β, below which a cold bath's occupation sits.
+
+    - Head [0, ε_h]: a Gauss–Jacobi rule with weight ε^p, whose nodes come
+      from Golub–Welsch and are cached per p, applied to φ(ε)/(ε − ω_t).
+    - Tail [ε_h, ωc], which holds the pole: f(ω_t) is subtracted, the
+      regular quotient (f(ε) − f(ω_t))/(ε − ω_t) is integrated by
+      Gauss–Legendre on [ε_h, ω_t] and on the pieces of [ω_t, ωc] cut at
+      2ω_t, 4ω_t, … (so a pole near ε = 0 keeps its distance from the branch
+      point of ε^p on every piece), and f(ω_t)·ln((ωc − ω_t)/(ω_t − ε_h)) is
+      added back.
+
     α = 0 with a thermal weight is rejected (the integral does not converge
     at finite temperature).
     """
@@ -186,18 +218,30 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
         power = alpha - 1.0
         split = min(split, 40.0 / beta)
 
-    def smooth(e):  # f(ε)/(pref·ε^power), finite at ε = 0
+    def smooth(e):  # f(ε)/(pref·ε^power) at nodes e > 0
         if kind == "bare":
-            return 1.0
-        en = e * bose_occupation(beta * e) if e > 0.0 else 1.0 / beta
+            return np.ones_like(e)
+        en = e * bose_factor(e, beta)
         return en + e if kind == "1+N" else en
 
-    tol = dict(epsabs=_PV_EPSABS, epsrel=1e-12, limit=200)
-    head, _ = quad(lambda e: smooth(e) / (e - w_t), 0.0, split,
-                   weight="alg", wvar=(power, 0.0), **tol)
-    tail, _ = quad(lambda e: e**power * smooth(e), split, wc,
-                   weight="cauchy", wvar=w_t, **tol)
-    return pref * (head + tail)
+    def f(e):
+        return e**power * smooth(e)
+
+    x, wx = _jacobi_rule(power)
+    e = split * x
+    head = split ** (power + 1.0) * np.dot(wx, smooth(e) / (e - w_t))
+
+    cuts = [split, w_t]
+    while 4.0 * cuts[-1] < wc:
+        cuts.append(2.0 * cuts[-1])
+    width = np.diff(cuts + [wc])[:, None]
+    u, wu = _legendre_rule()
+    e = np.array(cuts)[:, None] + width * u
+    f_t = float(f(np.array(w_t)))
+    # a node that rounds onto the pole (ω_t within ulps of ωc) carries no weight
+    quotient = np.divide(f(e) - f_t, e - w_t, out=np.zeros_like(e), where=e != w_t)
+    tail = np.sum(width * wu * quotient) + f_t * math.log((wc - w_t) / (w_t - split))
+    return float(pref * (head + tail))
 
 
 def secular_filter(delta_t, g: float) -> np.ndarray:

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fock, moments, spectral
 from .errors import ConsistencyError, ValidationError
-from .fock import (TruncatedState, fidelity_truncated, lindblad_propagate,
-                   number_expectations, thermal_product_state)
+from .fock import TruncatedState
 from .gaussian import gaussian_fidelity
-from .moments import MomentState, Scheme, Trajectory, propagate
+from .moments import MomentState, Scheme, Trajectory
 from .params import ModelParams, bose_occupation
 from .runner import resolve_scheme
-from .spectral import CoefficientSet, bose_factor, cp_threshold, dissipator_coefficients
+from .spectral import CoefficientSet, bose_factor
 
 _SCHEME_CYCLE = ("local", "global", "cg_redfield")
 _OCCUPANCY_BUDGET = 0.35
@@ -62,7 +62,7 @@ def draw_case(rng: np.random.Generator) -> EquivalenceCase:
     scheme = _SCHEME_CYCLE[int(rng.integers(0, len(_SCHEME_CYCLE)))]
     s = None
     if scheme == "cg_redfield":
-        s = float(rng.uniform(0.3, 1.0)) * cp_threshold(params).bound
+        s = float(rng.uniform(0.3, 1.0)) * spectral.cp_threshold(params).bound
 
     # cap the accumulated occupation so a modest cutoff certifies the run
     n_slow = bose_occupation(params.beta * params.omega_minus)
@@ -94,11 +94,12 @@ def moment_deviation(scheme: Scheme, cutoff: int,
                      times) -> tuple[float, list[TruncatedState], Trajectory]:
     """Propagate ``scheme`` from the vacuum through the Fock oracle and the moment
     route; returns the largest moment difference and both trajectories."""
-    fock_states = lindblad_propagate(scheme, thermal_product_state(0.0, 0.0, cutoff), times)
-    traj = propagate(scheme, times)
+    fock_states = fock.lindblad_propagate(scheme, fock.thermal_product_state(0.0, 0.0, cutoff),
+                                         times)
+    traj = moments.propagate(scheme, times)
     worst = 0.0
     for i, st in enumerate(fock_states):
-        mom = number_expectations(st)
+        mom = fock.number_expectations(st)
         worst = max(worst, abs(mom.n_plus - traj.n_plus[i]),
                     abs(mom.n_minus - traj.n_minus[i]), abs(mom.cross - traj.cross[i]))
     return worst, fock_states, traj
@@ -108,14 +109,14 @@ def run_case(case: EquivalenceCase) -> EquivalenceReport:
     """Propagate one scheme through both routes and compare."""
     times = np.linspace(0.0, case.t_max, _N_TIMES)
     name = case.scheme if case.s is None else f"cg_redfield:{float(case.s)!r}"
-    scheme = resolve_scheme(name, dissipator_coefficients(case.params))
+    scheme = resolve_scheme(name, spectral.dissipator_coefficients(case.params))
     moment_err, fock_states, traj = moment_deviation(scheme, case.cutoff, times)
 
-    ref_state = thermal_product_state(*case.reference, case.cutoff)
+    ref_state = fock.thermal_product_state(*case.reference, case.cutoff)
     ref_moments = MomentState(*case.reference, 0j)
     fid_err = 0.0
     for i in (_N_TIMES // 2, _N_TIMES - 1):
-        f_fock = fidelity_truncated(fock_states[i], ref_state)
+        f_fock = fock.fidelity_truncated(fock_states[i], ref_state)
         f_gauss = gaussian_fidelity(traj.state(i), ref_moments)
         fid_err = max(fid_err, abs(f_fock - f_gauss), abs(f_fock**2 - f_gauss**2))
     return EquivalenceReport(case, moment_err, fid_err)

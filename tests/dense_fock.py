@@ -15,7 +15,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from oscpair import MomentState, Scheme, TruncatedState
+from oscpair import MomentState, Scheme
+from oscpair.fock import TruncatedState
 
 
 @lru_cache(maxsize=8)

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from oscpair import ModelParams, ValidationError, cp_threshold, thermal_product_state
+from oscpair import ModelParams, ValidationError, cp_threshold
+from oscpair.fock import thermal_product_state
 from oscpair import cli, runner, spectral, verify
 from oscpair.cli import build_config, main
 from oscpair.presets import PRESETS, preset
@@ -236,9 +237,15 @@ def test_non_physical_fidelity_error_names_the_reference(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_rejects_repeated_values(tmp_path, capsys):
+@pytest.mark.parametrize("axis,values", [
+    ("M", "50,50"),
+    ("g", "0.1,0.10"),                  # one configuration, two spellings
+    ("delta_t", "saturating,1e-0,1"),   # compared as parsed by --set's parser
+])
+def test_sweep_rejects_repeated_values(tmp_path, capsys, axis, values):
     out = tmp_path / "out"
-    argv = ["sweep", "--preset", "fig7", "--axis", "M", "--values", "50,50", "--out", str(out)]
+    argv = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin", "--axis", axis,
+            "--values", values, "--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: sweep --values repeats an entry")
     assert not out.exists()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oscpair import (DomainError, ModelParams, MomentState, TruncatedState,
-                     boundary_population, cp_threshold, dissipator_coefficients,
-                     fidelity_truncated, lindblad_propagate, number_expectations, propagate,
-                     thermal_product_state)
+from oscpair import (DomainError, ModelParams, MomentState, cp_threshold,
+                     dissipator_coefficients, propagate)
+from oscpair.fock import (TruncatedState, boundary_population, fidelity_truncated,
+                          lindblad_propagate, number_expectations, thermal_product_state)
 from oscpair.runner import resolve_scheme
 from oscpair.verify import EquivalenceCase, run_case, run_suite
 

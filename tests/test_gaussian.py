@@ -8,10 +8,10 @@ from hypothesis import strategies as st_
 
 from oscpair import (ConsistencyError, DomainError, MomentState, NonPhysicalStateError,
                      Scheme, SchemeRunner, cp_threshold, dissipator_coefficients,
-                     fidelity_truncated, from_ab_basis, gaussian_fidelity,
-                     gaussian_fidelity_sq, lambda_c_trajectory,
-                     mixture_fidelity_lower_bound, propagate,
-                     thermal_product_state, to_ab_basis)
+                     from_ab_basis, gaussian_fidelity, gaussian_fidelity_sq,
+                     lambda_c_trajectory, mixture_fidelity_lower_bound, propagate,
+                     to_ab_basis)
+from oscpair.fock import fidelity_truncated, thermal_product_state
 from oscpair.gaussian import eigenmode_covariance
 
 from conftest import FIG4

@@ -260,6 +260,44 @@ def pv_mpmath(kind, w_t, p):
         return float(head + body + f_t * mp.log((wc - wt) / (wt - lower)))
 
 
+#: relative agreement of pv_integral with pv_quadpack on the wide grid of
+#: test_against_quadpack; the worst measured case, 8.6e-13, is 1+N at
+#: ω_t = 0.4 (α = 0.5, N(ω0) = 1), where the integral (3.3e-5) cancels to
+#: 1/300 of its parts and the two routes differ by 2.8e-17 absolute
+PV_QUADPACK_REL = 2e-12
+
+
+def pv_quadpack(kind, w_t, p):
+    """pv_integral's former QUADPACK route, kept as a second reference.
+
+    Same splits as the production rule: QUADPACK's algebraic-weight rule
+    (QAWS) with weight ε^{α−1} (ε^α for "bare") on the head [0, ε_h], and
+    its Cauchy-weight rule (QAWC) on the tail [ε_h, ωc], which holds the
+    pole; absolute target 1e-11, relative 1e-12.
+    """
+    wc, alpha, beta = p.omega_c, p.alpha, p.beta
+    pref = p.kappa0 / (2.0 * np.pi * p.omega0**alpha)
+    split = min(w_t / 2.0, p.omega0)
+    if kind == "bare":
+        power = alpha
+    else:
+        power = alpha - 1.0
+        split = min(split, 40.0 / beta)
+
+    def smooth(e):
+        if kind == "bare":
+            return 1.0
+        en = e * bose_factor(e, beta) if e > 0.0 else 1.0 / beta
+        return en + e if kind == "1+N" else en
+
+    tol = dict(epsabs=1e-11, epsrel=1e-12, limit=200)
+    head, _ = quad(lambda e: smooth(e) / (e - w_t), 0.0, split,
+                   weight="alg", wvar=(power, 0.0), **tol)
+    tail, _ = quad(lambda e: e**power * smooth(e), split, wc,
+                   weight="cauchy", wvar=w_t, **tol)
+    return pref * (head + tail)
+
+
 class TestPvIntegral:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0])
     def test_against_mpmath(self, alpha):
@@ -275,6 +313,29 @@ class TestPvIntegral:
                     assert pv_integral(kind, w_t, p) == pytest.approx(
                         pv_mpmath(kind, w_t, p), rel=0, abs=1e-13)
                 assert pv_integral("bare", w_t, p) == pytest.approx(bare[w_t], rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0])
+    def test_against_quadpack(self, alpha):
+        # N(ω0) over seven decades and ω₋ from 1 − 1e-6 down to 0.02, where the
+        # pole is closest to the branch point of ε^{α−1} at ε = 0
+        for n0 in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4):
+            for g in (1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.6, 0.9, 0.98):
+                p = params(alpha=alpha, n_omega0=n0, g=g)
+                for w_t in (p.omega_plus, p.omega_minus):
+                    for kind in ("N", "1+N", "bare"):
+                        assert pv_integral(kind, w_t, p) == pytest.approx(
+                            pv_quadpack(kind, w_t, p), rel=PV_QUADPACK_REL, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_small_thermal_values_keep_relative_accuracy(self, alpha):
+        # between hot and cold (β = 400) the N-weighted integral at ω₋ = 0.1
+        # falls to 2.6e-9 (α = 2); the rule stays within 3.6e-15 of mpmath
+        # where pv_quadpack's absolute target leaves it 2.8e-6 off
+        p = params(alpha=alpha, n_omega0=None, beta=400.0, g=0.9)
+        for w_t in (p.omega_plus, p.omega_minus):
+            for kind in ("N", "1+N"):
+                assert pv_integral(kind, w_t, p) == pytest.approx(
+                    pv_mpmath(kind, w_t, p), rel=1e-13, abs=0)
 
     def test_ohmic_bare_closed_form(self):
         # antiderivative of omega/(omega0-omega): -omega - omega0*ln|omega0-omega|
