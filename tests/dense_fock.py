@@ -16,7 +16,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from oscpair import MomentState, Scheme
-from oscpair.fock import TruncatedState
 
 
 @lru_cache(maxsize=8)
@@ -40,17 +39,19 @@ def block_slots(d: int) -> tuple[np.ndarray, np.ndarray]:
     return block, n_a - np.maximum(0, block - d + 1)
 
 
-def to_dense(state: TruncatedState) -> np.ndarray:
-    """The d² × d² matrix of a block-stored state."""
-    block, slot = block_slots(state.cutoff)
-    rho = np.zeros((state.cutoff ** 2,) * 2, dtype=complex)
+def to_dense(blocks: np.ndarray) -> np.ndarray:
+    """The d² × d² matrix of a (2d−1, d, d) block stack, e.g. ``TruncatedState.blocks``."""
+    d = blocks.shape[-1]
+    block, slot = block_slots(d)
+    rho = np.zeros((d * d,) * 2, dtype=complex)
     rows, cols = np.nonzero(block[:, None] == block[None, :])
-    rho[rows, cols] = state.blocks[block[rows], slot[rows], slot[cols]]
+    rho[rows, cols] = blocks[block[rows], slot[rows], slot[cols]]
     return rho
 
 
-def from_dense(rho: np.ndarray, d: int) -> TruncatedState:
-    """Block-store a d² × d² matrix; raises if it couples different excitation numbers."""
+def to_blocks(rho: np.ndarray, d: int) -> np.ndarray:
+    """The (2d−1, d, d) block stack of a d² × d² matrix; raises if it couples
+    different excitation numbers."""
     block, slot = block_slots(d)
     same = block[:, None] == block[None, :]
     if np.any(rho[~same]):
@@ -58,7 +59,7 @@ def from_dense(rho: np.ndarray, d: int) -> TruncatedState:
     blocks = np.zeros((2 * d - 1, d, d), dtype=complex)
     rows, cols = np.nonzero(same)
     blocks[block[rows], slot[rows], slot[cols]] = rho[rows, cols]
-    return TruncatedState(blocks, d)
+    return blocks
 
 
 def dense_gaussian_state(state: MomentState, d: int) -> np.ndarray:
@@ -98,11 +99,9 @@ def dense_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum())
 
 
-def dense_propagate(scheme: Scheme, rho0: np.ndarray, d: int, times, *,
-                    rtol: float = 1e-10, atol: float = 1e-12) -> list[np.ndarray]:
-    """Integrate the operator-form master equation on the dense space; returns the
-    Schrödinger-picture states."""
-    times = np.asarray(times, dtype=float)
+def dense_rhs(scheme: Scheme, d: int):
+    """Right-hand side of the interaction-picture master equation on the flattened
+    d² × d² density matrix, with the terms grouped by their phase frequency."""
     dim = d * d
     gams = dense_ops(d)
     u, w, h = scheme.u, scheme.w, scheme.h
@@ -128,6 +127,18 @@ def dense_propagate(scheme: Scheme, rho0: np.ndarray, d: int, times, *,
                 acc += coef * (left @ (rho @ right))
             out += np.exp(1j * freq * t) * acc if freq != 0.0 else acc
         return out.ravel()
+
+    return rhs
+
+
+def dense_propagate(scheme: Scheme, rho0: np.ndarray, d: int, times, *,
+                    rtol: float = 1e-10, atol: float = 1e-12) -> list[np.ndarray]:
+    """Integrate the operator-form master equation on the dense space; returns the
+    Schrödinger-picture states."""
+    times = np.asarray(times, dtype=float)
+    dim = d * d
+    gams = dense_ops(d)
+    rhs = dense_rhs(scheme, d)
 
     sol = solve_ivp(rhs, (times[0], times[-1]), rho0.ravel().astype(complex),
                     t_eval=times, method="DOP853", rtol=rtol, atol=atol)

@@ -3,7 +3,7 @@ import pytest
 
 from oscpair import (DomainError, ModelParams, MomentState, cp_threshold,
                      dissipator_coefficients, propagate)
-from oscpair.fock import (TruncatedState, boundary_population, fidelity_truncated,
+from oscpair.fock import (TruncatedState, _master_rhs, boundary_population, fidelity_truncated,
                           lindblad_propagate, number_expectations, thermal_product_state)
 from oscpair.runner import resolve_scheme
 from oscpair.verify import EquivalenceCase, run_case, run_suite
@@ -11,7 +11,7 @@ from oscpair.verify import EquivalenceCase, run_case, run_suite
 from conftest import FIG4
 
 from dense_fock import (block_slots, dense_fidelity, dense_gaussian_state, dense_moments,
-                        dense_propagate, from_dense, to_dense)
+                        dense_propagate, dense_rhs, to_blocks, to_dense)
 
 #: warm enough to populate both modes, cold enough for cutoff d = 10 up to t = 10
 WARM = {**FIG4, "n_omega0": 0.5}
@@ -38,7 +38,7 @@ def routes(request, params, coeffs):
     scheme = resolve_scheme(name, coeffs)
     vacuum = thermal_product_state(0.0, 0.0, D)
     blocked = lindblad_propagate(scheme, vacuum, TIMES)
-    dense = dense_propagate(scheme, to_dense(vacuum), D, TIMES)
+    dense = dense_propagate(scheme, to_dense(vacuum.blocks), D, TIMES)
     return scheme, blocked, dense
 
 
@@ -57,7 +57,7 @@ def test_oracle_matches_moment_route(routes):
 def test_blocked_matches_dense_reference(routes):
     _, blocked, dense = routes
     for state, rho in zip(blocked, dense):
-        assert np.abs(to_dense(state) - rho).max() <= 1e-9
+        assert np.abs(to_dense(state.blocks) - rho).max() <= 1e-9
         mom, ref = number_expectations(state), dense_moments(rho, D)
         assert abs(mom.n_plus - ref.n_plus) <= 1e-10
         assert abs(mom.n_minus - ref.n_minus) <= 1e-10
@@ -70,7 +70,52 @@ def test_blocked_matches_dense_reference(routes):
 def test_padding_stays_exactly_zero(routes):
     _, blocked, _ = routes
     for state in blocked:
-        assert np.array_equal(from_dense(to_dense(state), D).blocks, state.blocks)
+        assert np.array_equal(to_blocks(to_dense(state.blocks), D), state.blocks)
+
+
+@pytest.mark.parametrize("name", ["local", "global", "cg_redfield"])
+def test_generator_matches_dense_rhs(name, params, coeffs):
+    """The sparse right-hand side on a random block stack, without the integrator.
+
+    local and the filtered Redfield scheme have off-diagonal (u, w, h), so they
+    exercise the ladder-product order and the phase group of every term."""
+    if name == "cg_redfield":
+        name = f"cg_redfield:{0.5 * cp_threshold(params).bound!r}"
+    scheme = resolve_scheme(name, coeffs)
+    d = 6
+    block, _ = block_slots(d)
+    same = block[:, None] == block[None, :]
+    rng = np.random.default_rng(6)
+    rho = np.where(same, rng.normal(size=same.shape) + 1j * rng.normal(size=same.shape), 0.0)
+    blocks, stored = to_blocks(rho, d), to_blocks(same.astype(float), d) != 0.0
+    rhs, ref = _master_rhs(scheme, d), dense_rhs(scheme, d)
+    for t in (0.0, 0.7, 13.1):
+        out = rhs(t, blocks.ravel()).reshape(blocks.shape)
+        expect = ref(t, rho.ravel()).reshape(rho.shape)
+        assert np.abs(to_dense(out) - expect).max() <= 1e-13 * np.abs(expect).max()
+        assert not np.any(out[~stored])
+        assert abs(np.trace(out, axis1=1, axis2=2).sum()) <= 1e-13 * np.abs(out).max()
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-9])
+@pytest.mark.parametrize("name", ["local", "global"])
+def test_oracle_at_vanishing_coupling(name, g):
+    """At g = 0 the eigenmodes are degenerate: every phase is 1 and the three
+    phase groups act as one generator. Uncoupled, the heat stays in mode a,
+    so the bath is cooler than WARM for cutoff D to certify the moments."""
+    params = ModelParams(**{**WARM, "n_omega0": 0.2, "g": g})
+    scheme = resolve_scheme(name, dissipator_coefficients(params))
+    vacuum = thermal_product_state(0.0, 0.0, D)
+    states = lindblad_propagate(scheme, vacuum, TIMES)
+    dense = dense_propagate(scheme, to_dense(vacuum.blocks), D, TIMES)
+    traj = propagate(scheme, TIMES)
+    assert traj.n_plus[-1] > 0.01 and traj.n_minus[-1] > 0.01
+    for i, (state, rho) in enumerate(zip(states, dense)):
+        assert np.abs(to_dense(state.blocks) - rho).max() <= 1e-9
+        mom = number_expectations(state)
+        assert abs(mom.n_plus - traj.n_plus[i]) <= 1e-9
+        assert abs(mom.n_minus - traj.n_minus[i]) <= 1e-9
+        assert abs(mom.cross - traj.cross[i]) <= 1e-9
 
 
 #: eigenmode occupations up to 0.1, which cutoff 8 certifies; the last is pure in one mode
@@ -83,7 +128,7 @@ SMALL = [MomentState(0.0, 0.0, 0j), MomentState(0.09, 0.05, 0j),
 def test_gaussian_constructor_matches_dense(d, moments):
     state = thermal_product_state(moments.n_plus, moments.n_minus, d, moments.cross)
     rho = dense_gaussian_state(moments, d)
-    assert np.abs(to_dense(state) - rho).max() <= 1e-12
+    assert np.abs(to_dense(state.blocks) - rho).max() <= 1e-12
     mom, ref = number_expectations(state), dense_moments(rho, d)
     assert abs(mom.n_plus - ref.n_plus) <= 1e-12 and abs(mom.cross - ref.cross) <= 1e-12
     pops = np.real(np.diag(rho)).reshape(d, d)
