@@ -8,7 +8,7 @@ this repository, typically a change and its parent. Each measurement runs in
 a fresh worker process that imports ``oscpair`` from one tree only:
 
 - ``exact_trajectory`` at the headline parameters (fig4) with M = 50, 100,
-  200, 400, 800, 1600 and 4000 on the 1501-point grid 0:300;
+  200, 400, 800, 1600, 4000 and 16000 on the 1501-point grid 0:300;
 - ``oscpair sweep --axis M --values 100,200,400,800`` with the exact, global,
   local and mixture schemes on 101 points (the benchmark's ``bath_sweep``);
 - ``thermal_product_state`` and ``fidelity_truncated`` at cutoffs d = 14, 20, 40;
@@ -16,9 +16,10 @@ a fresh worker process that imports ``oscpair`` from one tree only:
   (five output times) at d = 14, 20, 40;
 - the work of ``oscpair verify --draws 3 --seed 3`` (``verify.run_suite``);
 - ``oscpair run --preset fig9b --oracle-verify on``;
-- fresh processes: ``import oscpair``, ``oscpair fidelity --preset fig6`` and
-  ``oscpair run --preset fig5``, each timed from the spawn of its interpreter
-  to its exit, so import costs count.
+- fresh processes: ``import oscpair``, ``oscpair fidelity --preset fig6``,
+  ``oscpair run --preset fig5`` and ``oscpair run --preset fig7`` (the exact
+  model at M = 50), each timed from the spawn of its interpreter to its exit,
+  so import costs count.
 
 Each is repeated ``--repeats`` times inside its worker (a fresh-process case
 starts one interpreter per repeat); a worker that exceeds ``--timeout``
@@ -30,6 +31,8 @@ the accuracy delta of the change; a fresh-process case's outputs are the
 values of the CSV files it writes. Outputs longer than ``MAX_STORED`` values
 (trajectories, the sweep's CSVs) enter the delta but not the record. A case's
 ``size`` is the cutoff d of a Fock case and the bath size M of an exact case.
+A case run in a worker also records the worker's peak resident memory
+(``peak_rss_mb``, from ``getrusage``), which for a large case is the case's.
 Machine, libraries, BLAS and its thread settings come from
 ``perfbench/provenance.py``.
 """
@@ -42,6 +45,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -51,7 +55,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 CUTOFFS = (14, 20, 40)
-BATH_SIZES = (50, 100, 200, 400, 800, 1600, 4000)
+BATH_SIZES = (50, 100, 200, 400, 800, 1600, 4000, 16000)
 #: the headline parameters (fig4) at which exact_trajectory is timed
 EXACT_PARAMS = dict(n_omega0=10.0, g=0.3, kappa0=0.04, omega_c=3.0, alpha=1.0)
 SWEEP_ARGV = ["sweep", "--axis", "M", "--values", "100,200,400,800",
@@ -63,7 +67,8 @@ OCCUPATIONS = ((0.3, 0.2), (0.2, 0.25))   # certified by d = 14 under the 1e-8 t
 #: fresh-process cases: the ``oscpair`` arguments, or None for ``import oscpair`` alone
 FRESH = {"fresh_import": None,
          "fresh_fidelity_fig6": ["fidelity", "--preset", "fig6"],
-         "fresh_run_fig5": ["run", "--preset", "fig5"]}
+         "fresh_run_fig5": ["run", "--preset", "fig5"],
+         "fresh_run_fig7": ["run", "--preset", "fig7"]}
 CASES = ([("exact_trajectory", m) for m in BATH_SIZES] + [("sweep_M", None)]
          + [("thermal_product_state", d) for d in CUTOFFS]
          + [("fidelity_truncated", d) for d in CUTOFFS]
@@ -144,7 +149,9 @@ def _worker(src: str, op: str, size: int | None, repeats: int) -> None:
     for _ in range(repeats):
         with contextlib.redirect_stdout(sys.stderr):  # stdout carries the records
             seconds, outputs = _run_case(op, size)
-        print(json.dumps({"seconds": seconds, "outputs": outputs}), flush=True)
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(json.dumps({"seconds": seconds, "outputs": outputs, "peak_rss_mb": peak_mb}),
+              flush=True)
 
 
 def _csv_values(out: Path) -> list[float]:
@@ -203,6 +210,7 @@ def _measure(src: Path, op: str, size: int | None, repeats: int, timeout: float)
            "outputs": runs[-1]["outputs"] if runs else None}
     if runs:
         out["median_s"] = statistics.median(out["seconds"])
+        out["peak_rss_mb"] = max(r["peak_rss_mb"] for r in runs)
     if code is None:
         out["timed_out_after_s"] = timeout
     elif code != 0:

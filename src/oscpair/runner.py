@@ -68,10 +68,13 @@ class SchemeRunner:
     one time grid, the grid a run or fidelity table is written on.
 
     The exact model is solved once, moments and energies together, by
-    :func:`~oscpair.exact.exact_trajectory` in mode space; master-equation
-    schemes are closed-form propagations from the vacuum by
-    :func:`~oscpair.moments.propagate` and essentially free. Every trajectory
-    starts from the joint ground state, and its t = 0 row is exactly zero.
+    :func:`~oscpair.exact.exact_trajectory`, a Chebyshev expansion of the
+    mode propagator with no eigensolver: its N ≈ r·t_max terms (r the
+    half-width of the mode spectrum) cost O(N·M) to build and O(N·M) per
+    grid point to sum. Master-equation schemes are closed-form propagations
+    from the vacuum by :func:`~oscpair.moments.propagate` and essentially free.
+    Every trajectory starts from the joint ground state, and its t = 0 row is
+    exactly zero.
     """
 
     def __init__(self, params: ModelParams, times, *, lamb_shift: bool = True):

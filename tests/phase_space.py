@@ -1,18 +1,20 @@
 """Phase-space and closed-form references for the moment routes in ``oscpair``.
 
-The exact model is solved in the package in (M+2)-dimensional mode space
-(:func:`oscpair.exact.exact_trajectory`). This module keeps the independent
-route on the 2M+4 canonical coordinates r = (x_A, p_A, x_B, p_B, x_1, p_1, …):
-:func:`oscpair.exact.build_full_model` diagonalizes the Hermitian matrix
-𝓜 = iΩℋ, covariances evolve by Σ(t) = U(t) Σ(0) U(t)† with
-U = I + V diag(expm1(−iλt)) V† (:func:`propagator`, :func:`propagate_exact`),
-and :func:`system_moments` and :func:`energy_components` read them out;
-:func:`bath_energy_quadratic_form` is the mode-space bath energy computed
-without energy conservation. It also holds the closed forms that other
-routes are compared against: the analytic global and local moment
-trajectories, the initial slope of λ_c, the first-order steady excitation
-gap, and the 4×4 ladder-ordering constants of the Gaussian covariance. The
-phase-space route is meant for small M and short grids.
+The package solves the exact model by a Chebyshev expansion of the
+(M+2)-dimensional mode propagator (:func:`oscpair.exact.exact_trajectory`),
+and ``mode_space.py`` keeps the dense mode-space eigendecomposition. This
+module keeps the independent route on the 2M+4 canonical coordinates
+r = (x_A, p_A, x_B, p_B, x_1, p_1, …): :func:`oscpair.exact.build_full_model`
+diagonalizes the Hermitian matrix 𝓜 = iΩℋ, covariances evolve by
+Σ(t) = U(t) Σ(0) U(t)† with U = I + V diag(expm1(−iλt)) V†
+(:func:`propagator`, :func:`propagate_exact`), and :func:`system_moments`
+and :func:`energy_components` read them out; :func:`bath_energy_quadratic_form`
+is the mode-space bath energy computed without energy conservation. It also
+holds the closed forms that other routes are compared against: the analytic
+global and local moment trajectories, the initial slope of λ_c, the
+first-order steady excitation gap, and the 4×4 ladder-ordering constants of
+the Gaussian covariance. The phase-space route is meant for small M and short
+grids.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import numpy as np
 from oscpair import (CoefficientSet, ConsistencyError, DomainError, ModelParams, MomentState,
                      PropagationError, Trajectory, bath_modes, bose_factor, pv_integral,
                      spectral_density)
-from oscpair.exact import FullModel, _mode_hamiltonian
+from oscpair.exact import FullModel
+
+from mode_space import mode_hamiltonian
 
 #: symplectic form in the ladder ordering (γ₊, γ₊†, γ₋, γ₋†); iΞ = diag(1,−1,1,−1)
 XI = np.diag([-1j, 1j, -1j, 1j])
@@ -173,12 +177,12 @@ def energy_components(sigma, params: ModelParams) -> EnergyComponents:
 def bath_energy_quadratic_form(params: ModelParams, times) -> np.ndarray:
     """E_E(t) = Σ_k ω_k(⟨c_k†c_k⟩(t) − N_k) as a quadratic form in the mode eigenbasis.
 
-    With h = VΛVᵀ (mode space, :func:`oscpair.exact.exact_trajectory`) and
+    With h = VΛVᵀ (mode space, :func:`mode_space.mode_space_trajectory`) and
     d = expm1(−iλt), E_E = 2Re(a·d) + d†Cd, where C = (V_bathᵀΩ_E V_bath) ∘
     (V_bathᵀ N V_bath) and a = 1ᵀC. It does not use energy conservation, which
     is how the program infers E_E, so it checks that inference.
     """
-    h, omega_k, _ = _mode_hamiltonian(params)
+    h, omega_k, _ = mode_hamiltonian(params)
     lam, v = np.linalg.eigh(h)
     v_bath = v[2:]
     occ = bose_factor(omega_k, params.beta)

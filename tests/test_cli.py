@@ -58,6 +58,16 @@ def test_csv_cells_are_17_significant_digits(tmp_path):
     assert lines[2] == "-0,-inf"
 
 
+def test_csv_bytes_equal_savetxt(tmp_path, rng):
+    table = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+    table[0] = [0.0, -0.0, 1e-300, 1e300, np.nan]
+    header = [f"c{j}" for j in range(5)]
+    cli._write_csv(tmp_path / "fast.csv", header, list(table.T))
+    np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_fidelity_in_unit_interval(tmp_path):
     argv = ["fidelity", "--preset", "fig6", "--grid", "0:300:151:lin", "--out", str(tmp_path)]
     assert main(argv) == 0

@@ -2,16 +2,19 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oscpair import ConsistencyError, ModelParams, exact_trajectory
+from oscpair import ConsistencyError, DomainError, ModelParams, exact, exact_trajectory
 from oscpair.exact import build_full_model
 from oscpair.gaussian import eigenmode_covariance
 from oscpair.moments import MomentState
+from oscpair.runner import time_grid
 
 from conftest import FIG4
+from mode_space import mode_hamiltonian, mode_space_trajectory
 from phase_space import (VCAL, bath_energy_quadratic_form, energy_components,
                          initial_covariance, physicality_min_eigenvalue, propagate_exact,
                          propagator, symplectic_spectrum, system_moments)
@@ -240,14 +243,122 @@ class TestRecurrence:
         assert coarse_gap > 10.0 * fine_gap
 
 
+class TestChebyshevRoute:
+    """The Chebyshev expansion against the dense mode-space reference."""
+
+    LIN = time_grid(0.0, 300.0, 151)
+    CASES = {
+        "fig5": ({}, time_grid(0.0, 300.0, 1501)),
+        "fig7": ({"M": 50}, time_grid(0.0, 150.0, 751)),
+        "fig8b": ({"n_omega0": 0.01}, time_grid(0.0, 300.0, 601)),
+        "fig9a": ({"g": 0.04}, time_grid(0.0, 300.0, 751)),
+        "M1": ({"M": 1}, LIN),
+        "M3": ({"M": 3}, LIN),
+        "M50": ({"M": 50}, LIN),
+        "M300": ({"M": 300}, LIN),     # ω_100 = ω0
+        "g0": ({"g": 0.0}, LIN),
+        "g1e-6": ({"g": 1e-6}, LIN),
+        "g0.98": ({"g": 0.98}, LIN),
+        "alpha0.1": ({"alpha": 0.1}, LIN),
+        "alpha2": ({"alpha": 2.0}, LIN),
+        "cold": ({"n_omega0": 1e-12}, LIN),
+        "hot": ({"n_omega0": 1e4}, LIN),
+        "recurrence_window": ({"M": 50}, time_grid(95.0, 112.0, 18)),
+        "log": ({}, time_grid(0.01, 300.0, 60, "log")),
+        "two_restarts": ({"M": 50}, time_grid(0.0, 1500.0, 301)),
+    }
+
+    @staticmethod
+    def columns(run) -> np.ndarray:
+        traj = run.trajectory
+        return np.column_stack([traj.n_plus, traj.n_minus, traj.cross.real,
+                                traj.cross.imag, run.energies])
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_mode_space_reference(self, case):
+        over, times = self.CASES[case]
+        p = params(**over)
+        got = self.columns(exact_trajectory(p, times))
+        ref = self.columns(mode_space_trajectory(p, times))
+        scale = np.maximum(1.0, np.abs(ref).max(axis=0))
+        deviation = (np.abs(got - ref) / scale).max(axis=0)
+        assert np.all(deviation <= 1e-12), deviation
+        start = np.flatnonzero(times == 0.0)
+        assert start.size == 1 and np.all(got[start] == 0.0)
+
+    def test_horizon_spans_two_restarts(self):
+        p = params(M=50)
+        _, omega_k, gamma_k = mode_hamiltonian(p)
+        _, radius = exact._spectral_interval(p, omega_k, gamma_k)
+        assert self.CASES["two_restarts"][1].max() > 2.0 * exact._REACH / radius
+
+    @pytest.mark.parametrize("case", ["fig5", "M1", "g0", "g0.98", "alpha0.1", "cold"])
+    def test_interval_holds_spectrum_tightly(self, case):
+        p = params(**self.CASES[case][0])
+        h, omega_k, gamma_k = mode_hamiltonian(p)
+        lam = np.linalg.eigvalsh(h)
+        centre, radius = exact._spectral_interval(p, omega_k, gamma_k)
+        assert centre - radius < lam[0] and lam[-1] < centre + radius
+        assert radius <= 0.5 * (lam[-1] - lam[0]) * (1.0 + 1e-8)
+
+    @pytest.mark.parametrize("grid", [[-1.0, 0.0, 5.0], [0.0, math.nan], [0.0, math.inf],
+                                      [0.0, 5.0, 1.0], []])
+    def test_rejects_a_bad_grid(self, grid):
+        with pytest.raises(DomainError):
+            exact_trajectory(params(M=20), grid)
+
+    def test_norm_check_catches_a_wrong_interval(self, monkeypatch):
+        # a half-width that misses part of the spectrum makes T_n(ĥ) grow:
+        # ψ_A and ψ_B lose their norm and the self-check must say so
+        interval = exact._spectral_interval
+        monkeypatch.setattr(exact, "_spectral_interval",
+                            lambda *args: (interval(*args)[0], 0.8 * interval(*args)[1]))
+        with pytest.raises(ConsistencyError):
+            exact_trajectory(params(M=20), np.linspace(0.0, 50.0, 11))
+
+
+class TestBessel:
+    XS = np.array([0.0, 1e-12, 0.3, 10.0, 100.0, 465.0])
+
+    def test_miller_table_matches_mpmath(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = exact._bessel_table(self.XS, exact._bessel_order(self.XS))
+        assert table.shape[1] == self.XS.size
+        with mpmath.workdps(30):
+            ref = np.array([[float(mpmath.besselj(n, mpmath.mpf(x))) for x in self.XS]
+                            for n in range(table.shape[0])])
+        assert np.abs(table - ref).max() <= 1e-15
+
+    def test_sum_rule_and_vanishing_argument(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            order = exact._bessel_order(self.XS)
+            table = exact._bessel_table(self.XS, order)
+        assert np.abs(table[0] ** 2 + 2.0 * (table[1:] ** 2).sum(axis=0) - 1.0).max() < 1e-14
+        assert order[0] == 0 and table[0, 0] == 1.0 and np.all(table[1:, 0] == 0.0)
+
+
 class TestMemory:
     def test_peak_memory_at_m800(self):
-        # the set-up holds at most three n × n arrays at once (n = M + 2,
-        # 5.1 MB each here) and the blocks of times O(_BLOCK·n) buffers
+        # the Chebyshev tables (2 start vectors, N ≈ 560 terms, (M+2) each,
+        # 7.2 MB here) and the O(_BLOCK·(M+2)) amplitudes of one block of times
         times = np.linspace(0.0, 300.0, 101)
         tracemalloc.start()
         try:
             exact_trajectory(params(M=800), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
+
+    def test_peak_memory_over_restarts(self):
+        # t_max = 30000 takes about 50 expansions; each holds at most _TERMS
+        # terms of 4 start vectors (13 MB at M = 400), one at a time
+        times = time_grid(0.0, 30000.0, 301)
+        tracemalloc.start()
+        try:
+            exact_trajectory(params(M=400), times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
