@@ -120,8 +120,9 @@ _TERMS = 1024
 #: e^{−_TAIL} ≈ 1e-18 bounds every Bessel value J_n(x) dropped past the order
 #: that :func:`_bessel_order` gives, so the dropped terms move no output
 _TAIL = 41.5
-#: time points per block of products; temporaries stay O(_BLOCK·(M+2))
-_BLOCK = 256
+#: values per block of times, in its Bessel table and its amplitudes: a block
+#: holds about this many (4 MB), and at least 64 times
+_BLOCK_VALUES = 2**19
 
 
 def _kapteyn_exponent(n, x):
@@ -322,9 +323,11 @@ def _expand(start: np.ndarray, x: np.ndarray, diag2: np.ndarray, arm2: np.ndarra
     """
     root, detune, coupling = bath
     order = _bessel_order(x)
-    tables = _chebyshev_tables(start, diag2, arm2, int(order.max()) + 1)
+    count = int(order.max()) + 1
+    tables = _chebyshev_tables(start, diag2, arm2, count)
     sums = np.empty((6, x.size))
-    blocks = [slice(lo, min(lo + _BLOCK, x.size)) for lo in range(0, x.size, _BLOCK)]
+    size = max(64, _BLOCK_VALUES // (count + 2 * start.size))
+    blocks = [slice(lo, min(lo + size, x.size)) for lo in range(0, x.size, size)]
     for blk in reversed(blocks):
         jn = _bessel_table(x[blk], order[blk])
         if blk is blocks[-1]:

@@ -342,7 +342,7 @@ class TestBessel:
 class TestMemory:
     def test_peak_memory_at_m800(self):
         # the Chebyshev tables (2 start vectors, N ≈ 560 terms, (M+2) each,
-        # 7.2 MB here) and the O(_BLOCK·(M+2)) amplitudes of one block of times
+        # 7.2 MB here) and one block of times (about 4 MB)
         times = np.linspace(0.0, 300.0, 101)
         tracemalloc.start()
         try:
