@@ -115,7 +115,7 @@ class ExactRun(NamedTuple):
 
 #: Chebyshev terms of one expansion. Later times restart the expansion from
 #: ψ at the end of its reach, so memory stays O(_TERMS·M) whatever t_max is;
-#: the presets' horizon (r·t_max ≈ 470) fits in one expansion.
+#: the presets' horizon (r·t_max ≈ 450, 547 terms) fits in one expansion.
 _TERMS = 1024
 #: e^{−_TAIL} ≈ 1e-18 bounds every Bessel value J_n(x) dropped past the order
 #: that :func:`_bessel_order` gives, so the dropped terms move no output
@@ -280,8 +280,8 @@ def _amplitudes(jn: np.ndarray, tables: tuple[np.ndarray, np.ndarray]):
     # Re c_n = 2(−1)^{n/2} for even n > 0, Im c_n = −2(−1)^{(n−1)/2} for odd n
     jn[1::4] *= -1.0
     jn[2::4] *= -1.0
-    re = (jn[0::2].T @ even[:ne].reshape(ne, -1)).reshape(-1, s, n)
-    im = (jn[1::2].T @ odd[:no].reshape(no, -1)).reshape(-1, s, n)
+    re = (jn[0::2].T @ even[:ne].reshape(ne, s * n)).reshape(-1, s, n)
+    im = (jn[1::2].T @ odd[:no].reshape(no, s * n)).reshape(-1, s, n)
     if s == 4:
         re[:, :2] -= im[:, 2:]
         im[:, :2] += re[:, 2:]

@@ -266,6 +266,7 @@ class TestChebyshevRoute:
         "recurrence_window": ({"M": 50}, time_grid(95.0, 112.0, 18)),
         "log": ({}, time_grid(0.01, 300.0, 60, "log")),
         "two_restarts": ({"M": 50}, time_grid(0.0, 1500.0, 301)),
+        "t0_only": ({"M": 20}, np.array([0.0])),     # one term, no odd table
     }
 
     @staticmethod
@@ -341,8 +342,8 @@ class TestBessel:
 
 class TestMemory:
     def test_peak_memory_at_m800(self):
-        # the Chebyshev tables (2 start vectors, N ≈ 560 terms, (M+2) each,
-        # 7.2 MB here) and one block of times (about 4 MB)
+        # the Chebyshev tables (2 start vectors, 547 terms, (M+2) each,
+        # 7.0 MB here) and one block of times (about 4 MB)
         times = np.linspace(0.0, 300.0, 101)
         tracemalloc.start()
         try:
