@@ -14,8 +14,9 @@ products of the vectors ψ_i(t) = e^{−iht}e_i, i = A, B.
 The real vectors T_n(ĥ)e_i come from the three-term recurrence, one O(M)
 arrowhead product per term, and the J_n(rt) from Miller's backward
 recurrence. No eigensolver runs: the cost is O(N·M) for the vectors and
-O(T·N·M) for the amplitudes on T time points, with N ≈ r·t_max terms. Every
-time point is independent (no stepping error), and at t = 0 only J_0 is
+O(T·N·M) for the amplitudes on T time points, with N ≈ r·t_max terms. Within
+one expansion every time point is independent (no stepping error); a longer
+horizon restarts the expansion every _TERMS terms. At t = 0 only J_0 is
 nonzero, so the t = 0 output is the initial state exactly.
 
 :func:`build_full_model` assembles the same model on the 2M+4 canonical
