@@ -22,20 +22,25 @@ so the frame removes no ω0 rotation but the a↔b hopping g(n₊ − n₋), whi
 would cost the integrator up to four times as many right-hand-side calls.
 
 In that frame the master equation is linear in ρ and depends on t only
-through e^{±iΔt}, Δ = ω₊ − ω₋, so its generator is L₀ + e^{iΔt}L₊ + e^{−iΔt}L₋:
-the ++ and −− terms make L₀, +− and −+ make L₊ and L₋. The three are sparse
-matrices on the flattened block stack, padding included. In the per-mode
-ladders a, b every term sends each entry of ρ to one entry, so the drift is
-tridiagonal within a block and the gain and loss terms gather from blocks
-N∓1. Their common sparsity pattern, with the value of each ladder term on
-it, is built once per cutoff; a scheme only fills in the three data vectors.
-A right-hand side costs the O(d³) nonzeros of the generator, about 21 500 per
-group at d = 14, and no dense product.
+through e^{±iΔt}, Δ = ω₊ − ω₋, so its generator is L₀ + e^{iΔt}L₊ + e^{−iΔt}L₋
+= L₀ + cos(Δt)(L₊ + L₋) + sin(Δt)·i(L₊ − L₋): the ++ and −− terms make L₀, +−
+and −+ make L₊ and L₋, and each of the three groups maps a Hermitian ρ to a
+Hermitian one. So the integrator state is real: Re of each stored entry of the
+block stack on or above the diagonal and Im of each one above it, Σ_N d_N² =
+d(2d² + 1)/3 numbers (1834 at d = 14, against 5292 complex entries of the
+padded stack), and the three groups are real sparse matrices on them. In the
+per-mode ladders a, b every term sends each entry of ρ to one entry, so the
+drift is tridiagonal within a block and the gain and loss terms gather from
+blocks N∓1; a term's complex coefficient c acts on the real coordinates of its
+source entry through Re c and Im c. The groups' common sparsity pattern, with
+the value of Re c and of Im c of each ladder term on it, is built once per
+cutoff; a scheme only fills in the three data vectors. A right-hand side costs the
+O(d³) nonzeros of the generator, about 39 000 reals per group at d = 14, and
+no dense product.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,8 +59,9 @@ _RTOL = 1e-10
 _ATOL = 1e-12
 #: γ_σ = Σ_m _AB[σ, m] x_m over the per-mode ladders x = (a, b)
 _AB = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-#: the (σ, σ') pairs of the phase groups 1, e^{iΔt} and e^{−iΔt}
-_GROUPS = np.array([[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+#: the (σ, σ') weights of the phase groups 1, cos Δt and sin Δt, which sum to
+#: the phase e^{i(ω_σ−ω_σ')t}: e^{iΔt} on +−, e^{−iΔt} on −+
+_GROUPS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,8 @@ class _Layout:
     edge: np.ndarray    # (2d−1, d) True on the slots with n_a or n_b at d−1
     ladder: np.ndarray  # (2, 2d−1, d, d): ladder[m, N] is a (m = 0) or b from block N into N−1
     lower: np.ndarray   # (2, 2d−1, d, d): lower[σ, N] is γ_σ from block N into block N−1
+    upper: tuple        # index arrays (N, i, j) of the stored entries with i ≤ j
+    off: np.ndarray     # True on the entries of ``upper`` with i < j
 
 
 @lru_cache(maxsize=8)
@@ -86,21 +94,46 @@ def _layout(d: int) -> _Layout:
         src = block[ok]
         ladder[mode, src, n_a[ok] - shift - first[src - 1], slot[ok]] = np.sqrt(n[ok])
     lower = np.stack([ladder[0] + ladder[1], ladder[0] - ladder[1]]) / math.sqrt(2.0)
-    layout = _Layout(stored[:, :, None] & stored[:, None, :], edge, ladder, lower)
-    for arr in (layout.mask, layout.edge, layout.ladder, layout.lower):
+    mask = stored[:, :, None] & stored[:, None, :]
+    upper = np.nonzero(mask & np.triu(np.ones((d, d), dtype=bool)))
+    layout = _Layout(mask, edge, ladder, lower, upper, upper[1] < upper[2])
+    for arr in (layout.mask, layout.edge, layout.ladder, layout.lower, layout.off, *upper):
         arr.setflags(write=False)
     return layout
 
 
+def _coordinates(blocks: np.ndarray) -> np.ndarray:
+    """The Σ_N d_N² real coordinates of a Hermitian block stack: Re of each stored
+    entry on or above the diagonal, then Im of each stored entry above it."""
+    lay = _layout(blocks.shape[-1])
+    upper = blocks[lay.upper]
+    return np.concatenate([upper.real, upper[lay.off].imag])
+
+
+def _from_coordinates(y: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian block stack of cutoff d with real coordinates y (see
+    ``_coordinates``), zero on the padding."""
+    lay = _layout(d)
+    n_blocks, rows, cols = lay.upper
+    vals = np.zeros(rows.size, dtype=complex)
+    vals.real = y[:rows.size]
+    vals.imag[lay.off] = y[rows.size:]
+    blocks = np.zeros((2 * d - 1, d, d), dtype=complex)
+    blocks[n_blocks, cols, rows] = vals.conj()
+    blocks[n_blocks, rows, cols] = vals
+    return blocks
+
+
 @dataclass(frozen=True)
 class _Pattern:
-    """The master-equation generator of cutoff d on the flattened block stack, as
-    a CSR pattern shared by every scheme and phase group, and the value each
-    of its 24 ladder terms puts on each pattern entry."""
+    """The master-equation generator of cutoff d on the real coordinates of the
+    block stack, as a CSR pattern shared by every scheme and phase group, and the
+    value that the real and the imaginary part of the coefficient of each of the
+    24 ladder terms put on each pattern entry."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    terms: sparse.csr_matrix   # (nnz, 24), columns in the order of _coefficients
+    terms: sparse.csr_matrix   # (nnz, 48): columns Re c, Im c per term of _coefficients
 
 
 def _monomial(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +146,17 @@ def _monomial(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=8)
 def _pattern(d: int) -> _Pattern:
     lay = _layout(d)
-    n_blocks, size = 2 * d - 1, (2 * d - 1) * d * d
+    n_blocks, rows, cols = lay.upper
+    n_re, size = rows.size, rows.size + int(lay.off.sum())
+    # coordinate of Re and of Im of each stack entry's upper-triangle
+    # representative (−1 for Im on the diagonal), and the sign of that Im
+    re_at = np.zeros((2 * d - 1, d, d), dtype=np.int64)
+    re_at[n_blocks, rows, cols] = re_at[n_blocks, cols, rows] = np.arange(n_re)
+    im_at = np.full_like(re_at, -1)
+    im_at[n_blocks[lay.off], rows[lay.off], cols[lay.off]] = np.arange(n_re, size)
+    im_at[n_blocks[lay.off], cols[lay.off], rows[lay.off]] = np.arange(n_re, size)
+    sign = np.sign(np.arange(d)[None, :] - np.arange(d)[:, None])
+
     low = lay.ladder                       # x_m from block N into N−1
     low_next = np.zeros_like(low)
     low_next[:, :-1] = low[:, 1:]          # x_m from block N+1 into N
@@ -121,37 +164,51 @@ def _pattern(d: int) -> _Pattern:
     eye = np.eye(d) * np.diagonal(lay.mask, axis1=1, axis2=2)[:, :, None]
     # every term maps block N+shift to block N as ρ ↦ P ρ Q; each ladder is a
     # weighted partial permutation, so out[N, i, j] reads one entry of ρ per term
-    keys, values = [], []
+    ops = []
     for m in range(2):
         for mp in range(2):
             hop = up[m] @ low[mp]                 # x_m†x_m' within block N
             back = low_next[mp] @ up_next[m]      # x_m'x_m† within block N
-            for p, q, shift in ((hop, eye, 0), (back, eye, 0), (eye, hop, 0), (eye, back, 0),
-                                (up[m], low[mp], -1), (low_next[mp], up_next[m], 1)):
-                p_col, p_val = _monomial(p)
-                q_row, q_val = _monomial(q.swapaxes(-1, -2))
-                val = (p_val[:, :, None] * q_val[:, None, :]).ravel()
-                src = (((np.arange(n_blocks) + shift)[:, None, None] * d + p_col[:, :, None]) * d
-                       + q_row[:, None, :]).ravel()
-                at = np.flatnonzero(val)
-                keys.append(at * size + src[at])
-                values.append(val[at])
-    entries, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    term = np.repeat(np.arange(len(keys)), [k.size for k in keys])
-    terms = sparse.csr_matrix((np.concatenate(values), (slot, term)),
-                              shape=(entries.size, len(keys)))
-    indptr = np.searchsorted(entries, np.arange(size + 1) * size).astype(np.int32)
-    pattern = _Pattern(indptr, (entries % size).astype(np.int32), terms)
+            ops += [(hop, eye, 0), (back, eye, 0), (eye, hop, 0), (eye, back, 0),
+                    (up[m], low[mp], -1), (low_next[mp], up_next[m], 1)]
+    p_col, p_val = map(np.stack, zip(*(_monomial(p) for p, _, _ in ops)))
+    q_row, q_val = map(np.stack, zip(*(_monomial(q.swapaxes(-1, -2)) for _, q, _ in ops)))
+    shift = np.array([sh for _, _, sh in ops])
+    val = p_val[:, n_blocks, rows] * q_val[:, n_blocks, cols]
+    term, at = np.nonzero(val)
+    val, n_at = val[term, at], n_blocks[at]
+    src = ((n_at + shift[term]) * d + p_col[term, n_at, rows[at]]) * d + q_row[term, n_at, cols[at]]
+    # with the term's coefficient c' + ic'' and its source entry x' + isx'', x' and
+    # x'' the coordinates of the representative, Re out = c'x' − sc''x'' and
+    # Im out = c''x' + sc'x''
+    re_src, im_src, s = re_at.ravel()[src], im_at.ravel()[src], sign.ravel()[src % (d * d)]
+    re_out, im_out = at, im_at[n_blocks[at], rows[at], cols[at]]
+    parts = []
+    for row, col, value, part in ((re_out, re_src, val, 0), (re_out, im_src, -s * val, 1),
+                                  (im_out, re_src, val, 1), (im_out, im_src, s * val, 0)):
+        ok = (row >= 0) & (col >= 0)
+        parts.append(((row * size + col)[ok], (2 * term + part)[ok], value[ok]))
+    # each (generator entry, coefficient column) pair occurs once: sort them by
+    # entry, and the terms matrix is CSR in that order. Each part ascends in the
+    # entry per term, and a stable (merge) sort joins those runs fastest.
+    entry, column, value = map(np.concatenate, zip(*parts))
+    order = np.argsort(entry * (2 * len(ops)) + column, kind="stable")
+    entry = entry[order]
+    starts = np.flatnonzero(np.diff(entry, prepend=-1))
+    terms = sparse.csr_matrix((value[order], column[order], np.append(starts, entry.size)),
+                              shape=(starts.size, 2 * len(ops)))
+    indptr = np.searchsorted(entry[starts], np.arange(size + 1) * size).astype(np.int32)
+    pattern = _Pattern(indptr, (entry[starts] % size).astype(np.int32), terms)
     for arr in (pattern.indptr, pattern.indices):
         arr.setflags(write=False)
     return pattern
 
 
 def _coefficients(scheme: Scheme) -> np.ndarray:
-    """(3, 24) coefficients of the ladder terms of ``_pattern`` in the phase groups
-    1, e^{iΔt} and e^{−iΔt}, in the a, b basis."""
+    """(3, 48) real coefficients of ``_pattern``, Re c and Im c of each ladder term
+    in the a, b basis, in the phase groups 1, cos Δt and sin Δt."""
 
-    def ab(mat):  # Σ over the group's (σ, σ') of mat_σσ' _AB[σ, m] _AB[σ', m']
+    def ab(mat):  # Σ over the group's (σ, σ') of mat_σσ' weight_σσ' _AB[σ, m] _AB[σ', m']
         return _AB.T @ (mat * _GROUPS) @ _AB
 
     u, w, h = scheme.u, scheme.w, scheme.h
@@ -159,24 +216,27 @@ def _coefficients(scheme: Scheme) -> np.ndarray:
     u_r, w_r, h_r = u.conj().T, w.conj().T, h.conj().T
     kinds = (-1j * ab(h) - 0.5 * ab(w), -0.5 * ab(u), 1j * ab(h_r) - 0.5 * ab(w_r),
              -0.5 * ab(u_r), ab(u), ab(w))
-    return np.stack(kinds, axis=-1).reshape(3, -1)
+    coeffs = np.stack(kinds, axis=-1).reshape(3, -1)
+    return np.stack([coeffs.real, coeffs.imag], axis=-1).reshape(3, -1)
 
 
 def _master_rhs(scheme: Scheme, d: int):
-    """Right-hand side of the interaction-picture master equation on the flattened
-    block stack of cutoff d: (L₀ + e^{iΔt}L₊ + e^{−iΔt}L₋)ρ with Δ = ω₊ − ω₋."""
+    """Right-hand side of the interaction-picture master equation on the real
+    coordinates of the block stack of cutoff d: (L₀ + cos(Δt)L_c + sin(Δt)L_s)y
+    with Δ = ω₊ − ω₋."""
     pattern = _pattern(d)
-    size = (2 * d - 1) * d * d
+    size = pattern.indptr.size - 1
     data = (pattern.terms @ _coefficients(scheme).T).T
-    l0, l_p, l_m = (sparse.csr_matrix((np.ascontiguousarray(vals), pattern.indices,
-                                       pattern.indptr), shape=(size, size)) for vals in data)
+    l0, l_c, l_s = (sparse.csr_matrix((vals, pattern.indices, pattern.indptr),
+                                      shape=(size, size), copy=True) for vals in data)
+    for mat in (l0, l_c, l_s):  # a scheme leaves about a third of the pattern at 0
+        mat.eliminate_zeros()
     if not data[1:].any():  # diagonal u, w and h (the global scheme): no phased terms
         return lambda t, y: l0 @ y
     gap = float(scheme.omegas[0]) - float(scheme.omegas[1])
 
     def rhs(t, y):
-        phase = cmath.exp(1j * gap * t)
-        return l0 @ y + phase * (l_p @ y) + phase.conjugate() * (l_m @ y)
+        return l0 @ y + math.cos(gap * t) * (l_c @ y) + math.sin(gap * t) * (l_s @ y)
 
     return rhs
 
@@ -271,21 +331,25 @@ def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times) -> list[Trun
     every output time, and monitors the population of the edge Fock level at
     every output time, raising ``CutoffError`` above 1e−6.
 
-    Each right-hand side is three sparse matrix-vector products on the
-    flattened block stack, one per phase group, or one when u, w and h are
-    diagonal (see the module docstring): the drift acts within block N, the
-    gain terms u·γ†ργ read block N−1 and the loss terms w·γργ† read block N+1.
+    The integrator state is the Σ_N d_N² = d(2d² + 1)/3 real coordinates of the
+    Hermitian block stack (1834 at d = 14): Re of each stored entry on or above
+    the diagonal, Im of each one above it. Each right-hand side is three real
+    sparse matrix-vector products on them, one per phase group 1, cos Δt and
+    sin Δt, or one when u, w and h are diagonal (see the module docstring): the
+    drift acts within block N, the gain terms u·γ†ργ read block N−1 and the loss
+    terms w·γργ† read block N+1. The coordinates become a block stack again only
+    at the output times.
     """
     times = grid_from_zero(times)
     d = rho0.cutoff
     lay = _layout(d)
-    shape = (2 * d - 1, d, d)
     rhs = _master_rhs(scheme, d)
 
     # each output time is a step end: DOP853's dense-output interpolant between
     # steps is not error-controlled. The next interval starts from the last
     # untruncated step size instead of a fresh initial-step estimate.
-    ys = [rho0.blocks.ravel().astype(complex)]
+    # the nearest Hermitian stack: TruncatedState admits a drift of 1e-9
+    ys = [_coordinates(0.5 * (rho0.blocks + _dag(rho0.blocks)))]
     step = None
     for t0, t1 in zip(times[:-1], times[1:]):
         sol = solve_ivp(rhs, (t0, t1), ys[-1], method="DOP853", rtol=_RTOL, atol=_ATOL,
@@ -301,12 +365,12 @@ def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times) -> list[Trun
     evals, evecs = np.linalg.eigh(h_s)
     out = []
     for t, y in zip(times, ys):
-        rho = y.reshape(shape)
+        rho = _from_coordinates(y, d)
         if t != 0.0:
             rot = (evecs * np.exp(-1j * evals * t)[:, None, :]) @ _dag(evecs)
             rho = rot @ rho @ _dag(rot)
         rho = np.where(lay.mask, 0.5 * (rho + _dag(rho)), 0.0)
-        state = TruncatedState(rho, d)  # validates trace and Hermiticity drift
+        state = TruncatedState(rho, d)  # validates the trace
         pop = boundary_population(state)
         if pop > BOUNDARY_TOL:
             raise CutoffError(

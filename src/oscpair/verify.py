@@ -6,9 +6,10 @@ test suite. Each case draws model parameters in the small-occupation regime
 the truncated oracle can certify, chooses the per-mode cutoff d from a
 thermal tail bound, propagates one scheme both ways, and compares moment
 trajectories plus Uhlmann fidelities against a thermal reference state. The
-oracle works on the 2d−1 total-excitation blocks of at most d states each, and
-one right-hand side of its integrator costs the O(d³) nonzeros of a sparse
-generator (see :mod:`oscpair.fock`) rather than the d⁶ of dense d² × d² products.
+oracle works on the 2d−1 total-excitation blocks of at most d states each; its
+integrator state is the d(2d² + 1)/3 real coordinates of that Hermitian block
+stack, and one right-hand side costs the O(d³) nonzeros of a real sparse
+generator (see :mod:`oscpair.fock`).
 """
 
 from __future__ import annotations

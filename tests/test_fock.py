@@ -3,8 +3,9 @@ import pytest
 
 from oscpair import (DomainError, ModelParams, MomentState, cp_threshold,
                      dissipator_coefficients, propagate)
-from oscpair.fock import (TruncatedState, _master_rhs, boundary_population, fidelity_truncated,
-                          lindblad_propagate, number_expectations, thermal_product_state)
+from oscpair.fock import (TruncatedState, _coordinates, _from_coordinates, _master_rhs,
+                          boundary_population, fidelity_truncated, lindblad_propagate,
+                          number_expectations, thermal_product_state)
 from oscpair.runner import resolve_scheme
 from oscpair.verify import EquivalenceCase, run_case, run_suite
 
@@ -73,9 +74,21 @@ def test_padding_stays_exactly_zero(routes):
         assert np.array_equal(to_blocks(to_dense(state.blocks), D), state.blocks)
 
 
+def random_hermitian_stack(d, seed):
+    """A random Hermitian d² × d² matrix that conserves the total excitation, and
+    its block stack."""
+    block, _ = block_slots(d)
+    same = block[:, None] == block[None, :]
+    rng = np.random.default_rng(seed)
+    rho = np.where(same, rng.normal(size=same.shape) + 1j * rng.normal(size=same.shape), 0.0)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho, to_blocks(rho, d)
+
+
 @pytest.mark.parametrize("name", ["local", "global", "cg_redfield"])
 def test_generator_matches_dense_rhs(name, params, coeffs):
-    """The sparse right-hand side on a random block stack, without the integrator.
+    """The sparse right-hand side on the coordinates of a random Hermitian block
+    stack, without the integrator.
 
     local and the filtered Redfield scheme have off-diagonal (u, w, h), so they
     exercise the ladder-product order and the phase group of every term."""
@@ -83,18 +96,28 @@ def test_generator_matches_dense_rhs(name, params, coeffs):
         name = f"cg_redfield:{0.5 * cp_threshold(params).bound!r}"
     scheme = resolve_scheme(name, coeffs)
     d = 6
+    rho, blocks = random_hermitian_stack(d, 6)
     block, _ = block_slots(d)
-    same = block[:, None] == block[None, :]
-    rng = np.random.default_rng(6)
-    rho = np.where(same, rng.normal(size=same.shape) + 1j * rng.normal(size=same.shape), 0.0)
-    blocks, stored = to_blocks(rho, d), to_blocks(same.astype(float), d) != 0.0
+    stored = to_blocks((block[:, None] == block[None, :]).astype(float), d) != 0.0
     rhs, ref = _master_rhs(scheme, d), dense_rhs(scheme, d)
     for t in (0.0, 0.7, 13.1):
-        out = rhs(t, blocks.ravel()).reshape(blocks.shape)
+        out = _from_coordinates(rhs(t, _coordinates(blocks)), d)
         expect = ref(t, rho.ravel()).reshape(rho.shape)
         assert np.abs(to_dense(out) - expect).max() <= 1e-13 * np.abs(expect).max()
         assert not np.any(out[~stored])
         assert abs(np.trace(out, axis1=1, axis2=2).sum()) <= 1e-13 * np.abs(out).max()
+
+
+@pytest.mark.parametrize("d", [2, 6, 14])
+def test_coordinates_round_trip(d):
+    """Σ_N d_N² real coordinates, which give the Hermitian stack back bit for bit."""
+    _, blocks = random_hermitian_stack(d, d)
+    coords = _coordinates(blocks)
+    assert coords.dtype == float
+    assert coords.size == sum(min(n + 1, 2 * d - 1 - n) ** 2 for n in range(2 * d - 1))
+    assert np.array_equal(_from_coordinates(coords, d), blocks)
+    if d == 14:
+        assert coords.size == 1834
 
 
 @pytest.mark.parametrize("g", [0.0, 1e-9])
