@@ -345,11 +345,11 @@ def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times) -> list[Trun
     lay = _layout(d)
     rhs = _master_rhs(scheme, d)
 
+    # the nearest Hermitian stack: TruncatedState admits a drift of 1e-9
+    ys = [_coordinates(0.5 * (rho0.blocks + _dag(rho0.blocks)))]
     # each output time is a step end: DOP853's dense-output interpolant between
     # steps is not error-controlled. The next interval starts from the last
     # untruncated step size instead of a fresh initial-step estimate.
-    # the nearest Hermitian stack: TruncatedState admits a drift of 1e-9
-    ys = [_coordinates(0.5 * (rho0.blocks + _dag(rho0.blocks)))]
     step = None
     for t0, t1 in zip(times[:-1], times[1:]):
         sol = solve_ivp(rhs, (t0, t1), ys[-1], method="DOP853", rtol=_RTOL, atol=_ATOL,
