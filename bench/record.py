@@ -87,7 +87,7 @@ def _run_case(op: str, size: int | None):
     import numpy as np
     from oscpair import cli, exact_trajectory, fock, verify
     from oscpair.params import ModelParams
-    from oscpair.runner import resolve_scheme
+    from oscpair.moments import Scheme
     from oscpair.spectral import dissipator_coefficients
 
     if op == "exact_trajectory":
@@ -118,7 +118,8 @@ def _run_case(op: str, size: int | None):
         value = fock.fidelity_truncated(*states)
         return time.perf_counter() - start, [value]
     if op == "lindblad_propagate":
-        scheme = resolve_scheme("global", dissipator_coefficients(ModelParams(**PARAMS)))
+        # the global scheme: the coarse-grained family at filter 0
+        scheme = Scheme.coarse_grained(dissipator_coefficients(ModelParams(**PARAMS)), 0.0)
         vacuum = fock.thermal_product_state(0.0, 0.0, size)
         start = time.perf_counter()
         states = fock.lindblad_propagate(scheme, vacuum, np.linspace(0.0, 40.0, 5))

@@ -12,6 +12,8 @@ commands load no SciPy module unless ``--oracle-verify on`` asks for the
 oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (ConsistencyError, CutoffError, DomainError, EstimationError,
                      NonPhysicalStateError, OscPairError, PropagationError,
                      SteadyStateError, ValidationError)
@@ -27,5 +29,7 @@ from .spectral import (CoefficientSet, CpThreshold, bath_modes, bose_factor,
                        dissipation_matrix, dissipator_coefficients, memory_time,
                        pv_integral, secular_filter, spectral_density)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them binds here
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -1,6 +1,8 @@
 """Command-line front end: deterministic CSV/JSON artifacts for runs, sweeps and checks.
 
 Subcommands: ``run``, ``fidelity``, ``sweep``, ``threshold``, ``verify``.
+This module parses arguments and formats files; what a scheme name means and
+how a fidelity table is scored belong to :class:`~oscpair.runner.SchemeRunner`.
 All serialized frequencies, rates and times are in units of ω0 (the default
 parameters set ω0 = 1). Exit codes: 0 success, 1 configuration/validation
 error, 2 numerical error.
@@ -18,12 +20,11 @@ import numpy as np
 
 from .errors import (DomainError, EstimationError, OscPairError, SteadyStateError,
                      ValidationError)
-from .gaussian import (gaussian_fidelity_sq, lambda_c_trajectory, mixture_fidelity_lower_bound,
-                       to_ab_basis)
+from .gaussian import lambda_c_trajectory, to_ab_basis
 from .moments import MomentState, Trajectory, steady_state
 from .params import SATURATING, ModelParams
 from .presets import PRESETS, preset
-from .runner import SchemeRunner, parse_scheme, resolve_scheme, time_grid
+from .runner import SchemeRunner, parse_scheme, scheme_label, time_grid
 from .spectral import (cp_block_bounds, dissipation_matrix, dissipator_coefficients,
                        memory_time)
 
@@ -55,11 +56,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.schemes:
             raise ValidationError("scheme list must not be empty")
-        for name in self.schemes:
-            parse_scheme(name)
-        if "mixture" in self.schemes:
-            if "local" not in self.schemes or "global" not in self.schemes:
-                raise ValidationError("mixture requires both local and global schemes")
+        if len(set(map(parse_scheme, self.schemes))) < len(self.schemes):
+            raise ValidationError(
+                f"scheme list repeats an entry once parsed: {','.join(self.schemes)!r}")
         self.times = time_grid(*self.grid)
 
 
@@ -95,7 +94,7 @@ def _parse_grid(text: str) -> tuple[float, float, int, str]:
 
 def build_config(args) -> RunConfig:
     base: dict = {"params": {}, "schemes": ["exact", "global", "local"],
-                  "grid": (0.0, 300.0, 1501, "lin"), "reference": "exact"}
+                  "grid": (0.0, 300.0, 1501, "lin")}
     if args.preset:
         base = preset(args.preset)
     overrides = _parse_set(args.set or [])
@@ -109,19 +108,16 @@ def build_config(args) -> RunConfig:
     param_fields.update(overrides)
     if "beta" not in param_fields and "n_omega0" not in param_fields:
         param_fields["n_omega0"] = 10.0
-    params = ModelParams(**param_fields)
     grid = _parse_grid(args.grid) if getattr(args, "grid", None) else tuple(base["grid"])
-    lamb = getattr(args, "lamb_shift", "on") != "off"
-    cfg = RunConfig(
-        params=params,
+    return RunConfig(
+        params=ModelParams(**param_fields),
         schemes=list(schemes),
-        grid=tuple(grid),
-        lamb_shift=lamb,
-        reference=getattr(args, "reference", None) or base["reference"],
+        grid=grid,
+        lamb_shift=getattr(args, "lamb_shift", "on") != "off",
+        reference=getattr(args, "reference", None) or "exact",
         oracle_verify=getattr(args, "oracle_verify", "off") == "on",
         outdir=Path(getattr(args, "out", None) or "."),
     )
-    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -139,11 +135,6 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     body = (row * table.shape[0]) % tuple(table.ravel().tolist())
     path.write_text(",".join(header) + "\n" + body)
-
-
-def _scheme_label(name: str) -> str:
-    """The scheme name as it appears in file names and column headers."""
-    return name.replace(":", "_s")
 
 
 def _state_summary(state: MomentState) -> dict:
@@ -182,21 +173,17 @@ def cmd_run(args) -> int:
     for scheme in cfg.schemes:
         traj = runner.trajectory(scheme)
         header, cols = _trajectory_columns(traj)
-        if scheme == "exact":
+        if scheme == "exact":  # no closed-form fixed point, report the end of the run
             energies = runner.exact.energies
             header += ["e_s0", "e_sg", "e_1", "e_e"]
             cols += [energies[:, j] for j in range(4)]
-        tables[f"{_scheme_label(scheme)}.csv"] = (header, cols)
-
-        if scheme == "exact":  # no closed-form fixed point, report the end of the run
             entry = {"final_state": _state_summary(traj.state(len(traj) - 1))}
-        elif scheme == "mixture":  # relaxes to the global fixed point
-            entry = _steady_entry(resolve_scheme("global", runner.coeffs))
         else:
-            equation = resolve_scheme(scheme, runner.coeffs)
+            equation = runner.equation(scheme)
             entry = _steady_entry(equation)
-            if equation.filter_s is not None:
+            if equation.filter_s is not None and scheme != "mixture":
                 entry["filter_s"] = equation.filter_s
+        tables[f"{scheme_label(scheme)}.csv"] = (header, cols)
         summary_schemes[scheme] = entry
 
     try:
@@ -216,8 +203,7 @@ def cmd_run(args) -> int:
     }
     if cfg.oracle_verify:
         from .verify import spot_check  # the Fock oracle loads SciPy; only this branch needs it
-        summary["oracle_verify"] = spot_check(cfg.params, runner.coeffs, cfg.schemes,
-                                              cfg.times[-1])
+        summary["oracle_verify"] = spot_check(runner, cfg.schemes)
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     for name, (header, cols) in tables.items():
@@ -243,41 +229,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_fidelity(args) -> int:
     cfg = build_config(args)
-    if cfg.reference == "mixture":
-        raise ValidationError("the mixture state is not Gaussian; pick another reference")
     runner = SchemeRunner(cfg.params, cfg.times, lamb_shift=cfg.lamb_shift)
-    times = cfg.times
-
-    ref_traj = runner.trajectory(cfg.reference)
-    f2 = {scheme: gaussian_fidelity_sq(runner.trajectory(scheme), ref_traj)
-          for scheme in cfg.schemes if scheme != "mixture"}
-
-    header = ["t"]
-    cols: list[np.ndarray] = [times]
-    for scheme in cfg.schemes:
-        if scheme == "mixture":  # RunConfig guarantees local and global are present
-            f_loc, f_glob = (np.sqrt(np.clip(f2[s][0], 0.0, 1.0)) for s in ("local", "global"))
-            bound = mixture_fidelity_lower_bound(f_loc, f_glob, cfg.params.mixture_rate, times)
-            header.append("f2_mixture_lower_bound")
-            cols.append(np.asarray(bound) ** 2)
-            continue
-        vals, physical = f2[scheme]
-        label = _scheme_label(scheme)
-        # a filter past the CP bound may leave the physical states: flag, don't fail
-        s = None if scheme == "exact" else resolve_scheme(scheme, runner.coeffs).filter_s
-        if s is not None and abs(s) > runner.coeffs.cp_bound:
-            header += [f"re_f2_{label}", f"{label}_nonphysical"]
-            cols += [vals, (~physical).astype(float)]
-        else:
-            if not physical.all():
-                raise OscPairError(
-                    f"scheme {scheme} against reference {cfg.reference} produced "
-                    f"non-physical fidelity input at t = {times[np.argmin(physical)]}")
-            header.append(f"f2_{label}")
-            cols.append(vals)
+    columns = runner.fidelity_columns(cfg.schemes, cfg.reference)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.outdir / "fidelity.csv", header, cols)
-    print(f"wrote fidelity.csv ({len(header) - 1} column(s)) to {cfg.outdir}")
+    _write_csv(cfg.outdir / "fidelity.csv", list(columns), list(columns.values()))
+    print(f"wrote fidelity.csv ({len(columns) - 1} column(s)) to {cfg.outdir}")
     return 0
 
 

@@ -36,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, PropagationError
+from .errors import ConsistencyError, PropagationError
 from .gaussian import from_ab_basis
-from .moments import Trajectory
+from .moments import Trajectory, checked_grid
 from .params import ModelParams
 from .spectral import bath_modes, bose_factor
 
@@ -358,15 +358,12 @@ def exact_trajectory(params: ModelParams, times) -> ExactRun:
 
     The spectral interval comes from :func:`_spectral_interval` and the
     expansion from :func:`_expand`. Past the reach of ``_TERMS`` terms the
-    expansion restarts from Re ψ and Im ψ there. The grid must be strictly
-    increasing, finite and ≥ 0 (else :class:`DomainError`). ψ_A and ψ_B at
+    expansion restarts from Re ψ and Im ψ there. The grid must pass
+    :func:`~oscpair.moments.checked_grid` (else :class:`DomainError`). ψ_A and ψ_B at
     the last time must stay orthonormal to 1e-12, or
     :class:`ConsistencyError` is raised.
     """
-    times = np.asarray(times, dtype=float)
-    if (times.ndim != 1 or times.size < 1 or not times[0] >= 0.0
-            or not np.all(np.diff(times) > 0.0) or not times[-1] < math.inf):
-        raise DomainError("exact_trajectory needs a strictly increasing grid of finite t >= 0")
+    times = checked_grid(times)
     omega_k, gamma_k = bath_modes(params)
     centre, radius = _spectral_interval(params, omega_k, gamma_k)
     diag2 = (2.0 / radius) * (np.concatenate(([params.omega0] * 2, omega_k)) - centre)

@@ -329,7 +329,8 @@ def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times) -> list[Trun
 
     Uses an adaptive explicit integrator at tolerance 1e−10, stepping onto
     every output time, and monitors the population of the edge Fock level at
-    every output time, raising ``CutoffError`` above 1e−6.
+    every output time, raising ``CutoffError`` above 1e−6. The output times
+    must pass :func:`~oscpair.moments.grid_from_zero` (else ``DomainError``).
 
     The integrator state is the Σ_N d_N² = d(2d² + 1)/3 real coordinates of the
     Hermitian block stack (1834 at d = 14): Re of each stored entry on or above

@@ -40,7 +40,7 @@ class MomentState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Moment history on a strictly increasing time grid."""
+    """Moment history on a time grid that passes :func:`checked_grid`."""
 
     times: np.ndarray
     n_plus: np.ndarray
@@ -48,11 +48,7 @@ class Trajectory:
     cross: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 1:
-            raise DomainError("times must be a 1-d grid")
-        if np.any(np.diff(times) <= 0.0):
-            raise DomainError("times must be strictly increasing")
+        times = checked_grid(self.times)
         object.__setattr__(self, "times", times)
         for name, dt in (("n_plus", float), ("n_minus", float), ("cross", complex)):
             arr = np.asarray(getattr(self, name), dtype=dt)
@@ -169,15 +165,22 @@ def expm(a: np.ndarray) -> np.ndarray:
 _COND_LIMIT = 1e8
 
 
-def grid_from_zero(times) -> np.ndarray:
-    """The grid as floats, checked to be 1-d, non-empty, strictly increasing and from t = 0."""
+def checked_grid(times) -> np.ndarray:
+    """The grid as floats, checked to be 1-d, non-empty, finite, strictly
+    increasing and t >= 0; the one time-grid contract of the package."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise DomainError("times must be a 1-d grid")
+    if not (times[0] >= 0.0 and np.all(np.diff(times) > 0.0) and times[-1] < np.inf):
+        raise DomainError("times must be a strictly increasing grid of finite t >= 0")
+    return times
+
+
+def grid_from_zero(times) -> np.ndarray:
+    """:func:`checked_grid`, starting at t = 0."""
+    times = checked_grid(times)
     if times[0] != 0.0:
         raise DomainError("time grid must start at t = 0")
-    if np.any(np.diff(times) <= 0.0):
-        raise DomainError("times must be strictly increasing")
     return times
 
 

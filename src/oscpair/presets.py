@@ -21,7 +21,7 @@ PRESETS: dict[str, dict] = {
     # fidelity of each approximation against the exact state
     "fig6": dict(params=_HOT, schemes=["redfield", "cp_redfield", "global",
                                        "local", "mixture"],
-                 grid=(0.0, 300.0, 751, "lin"), reference="exact"),
+                 grid=(0.0, 300.0, 751, "lin")),
     # coarse bath (M = 50): recurrence effects become visible
     "fig7": dict(params={**_HOT, "M": 50}, schemes=["exact"],
                  grid=(0.0, 150.0, 751, "lin")),
@@ -31,11 +31,11 @@ PRESETS: dict[str, dict] = {
                   grid=(0.0, 300.0, 601, "lin")),
     # weak internal coupling: the local scheme excels, the global transient fails
     "fig9a": dict(params={**_HOT, "g": 0.04}, schemes=["cp_redfield", "global", "local"],
-                  grid=(0.0, 300.0, 751, "lin"), reference="exact"),
+                  grid=(0.0, 300.0, 751, "lin")),
     # cold bath: the local steady state fails
     "fig9b": dict(params={**_HOT, "n_omega0": 0.01},
                   schemes=["cp_redfield", "global", "local"],
-                  grid=(0.0, 300.0, 751, "lin"), reference="exact"),
+                  grid=(0.0, 300.0, 751, "lin")),
 }
 
 # the fidelity comparisons at alternate parameters appear twice in common usage
@@ -56,5 +56,4 @@ def preset(name: str) -> dict:
         "params": dict(entry["params"]),
         "schemes": list(entry["schemes"]),
         "grid": tuple(entry["grid"]),
-        "reference": entry.get("reference", "exact"),
     }

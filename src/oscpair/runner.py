@@ -1,23 +1,25 @@
-"""Scheme names, and the trajectories they stand for.
+"""Scheme names, and the trajectories and fidelity columns they stand for.
 
-:func:`resolve_scheme` is the one place a master-equation scheme name
-becomes its :class:`~oscpair.moments.Scheme`; :class:`SchemeRunner` adds the
-two names that are not master equations, the exact model and the
-local/global mixture, and caches the trajectories of one time grid.
+:class:`SchemeRunner` owns every rule about a scheme name on one parameter set
+and time grid. :meth:`~SchemeRunner.equation` is the one place a name becomes
+the :class:`~oscpair.moments.Scheme` it runs under; :meth:`~SchemeRunner.trajectory`
+adds the exact model and the local/global mixture, which are not master
+equations, and caches; :meth:`~SchemeRunner.fidelity_columns` scores them.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import exact as exact_mod
-from .errors import ValidationError
+from .errors import OscPairError, ValidationError
+from .gaussian import gaussian_fidelity_sq, mixture_fidelity_lower_bound
 from .moments import Scheme, Trajectory, mixture_moments, propagate
 from .params import ModelParams
-from .spectral import CoefficientSet, dissipator_coefficients
+from .spectral import dissipator_coefficients
 
 SCHEMES = ("exact", "redfield", "cp_redfield", "cg_redfield", "global", "local", "mixture")
 
@@ -40,27 +42,9 @@ def parse_scheme(name: str) -> tuple[str, float | None]:
     return name, None
 
 
-def resolve_scheme(name: str, coeffs: CoefficientSet) -> Scheme:
-    """The master equation a scheme name stands for, at the given coefficients.
-
-    Filter values: Redfield 1, global 0, CP-Redfield ``coeffs.cp_bound``,
-    ``cg_redfield`` the explicit ``:s`` or else the ``delta_t`` filter already
-    resolved in ``coeffs.s_offdiag``.
-    """
-    kind, s = parse_scheme(name)
-    if kind == "local":
-        return Scheme.local(coeffs)
-    if kind == "redfield":
-        s = 1.0
-    elif kind == "global":
-        s = 0.0
-    elif kind == "cp_redfield":
-        s = coeffs.cp_bound
-    elif kind == "cg_redfield":
-        s = coeffs.s_offdiag if s is None else s
-    else:
-        raise ValidationError(f"{name!r} is not a master-equation scheme")
-    return Scheme.coarse_grained(coeffs, s)
+def scheme_label(name: str) -> str:
+    """The scheme name as it appears in file names and column headers."""
+    return name.replace(":", "_s")
 
 
 class SchemeRunner:
@@ -88,6 +72,23 @@ class SchemeRunner:
         """The exact model's moments and energies on the runner's grid."""
         return exact_mod.exact_trajectory(self.params, self.times)
 
+    def equation(self, name: str) -> Scheme:
+        """The master equation a scheme name runs under, at the runner's coefficients.
+
+        Filter values: Redfield 1, global 0, CP-Redfield ``coeffs.cp_bound``,
+        ``cg_redfield`` the explicit ``:s`` or else the ``delta_t`` filter
+        already resolved in ``coeffs.s_offdiag``. The mixture relaxes under
+        the global scheme; the exact model has no master equation.
+        """
+        kind, s = parse_scheme(name)
+        if kind == "local":
+            return Scheme.local(self.coeffs)
+        filters = {"redfield": 1.0, "cp_redfield": self.coeffs.cp_bound, "global": 0.0,
+                   "mixture": 0.0, "cg_redfield": self.coeffs.s_offdiag if s is None else s}
+        if kind not in filters:
+            raise ValidationError("the exact model is not a master-equation scheme")
+        return Scheme.coarse_grained(self.coeffs, filters[kind])
+
     def trajectory(self, scheme: str) -> Trajectory:
         if scheme not in self._cache:
             if scheme == "exact":
@@ -96,9 +97,43 @@ class SchemeRunner:
                 traj = mixture_moments(self.trajectory("local"), self.trajectory("global"),
                                        self.params.mixture_rate)
             else:
-                traj = propagate(resolve_scheme(scheme, self.coeffs), self.times)
+                traj = propagate(self.equation(scheme), self.times)
             self._cache[scheme] = traj
         return self._cache[scheme]
+
+    def fidelity_columns(self, schemes, reference: str = "exact") -> dict[str, np.ndarray]:
+        """The ``fidelity`` table by column name: ``t``, then each scheme's squared
+        fidelity ``f2_<label>`` against ``reference``. The mixture is not Gaussian and
+        gets the squared concavity bound, ``f2_mixture_lower_bound``. A filter past the
+        CP bound may leave the physical states, so it gets ``re_f2_<label>`` and a
+        ``<label>_nonphysical`` flag. A mixture reference raises ``ValidationError``,
+        any other non-physical input ``OscPairError`` naming the reference."""
+        if reference == "mixture":
+            raise ValidationError("the mixture state is not Gaussian; pick another reference")
+        ref = self.trajectory(reference)
+        score = cache(lambda name: gaussian_fidelity_sq(self.trajectory(name), ref))
+        columns = {"t": self.times}
+        for name in schemes:
+            if name == "mixture":
+                f_loc, f_glob = (np.sqrt(np.clip(score(s)[0], 0.0, 1.0))
+                                 for s in ("local", "global"))
+                bound = mixture_fidelity_lower_bound(f_loc, f_glob, self.params.mixture_rate,
+                                                     self.times)
+                columns["f2_mixture_lower_bound"] = np.asarray(bound) ** 2
+                continue
+            vals, physical = score(name)
+            label = scheme_label(name)
+            s = None if name == "exact" else self.equation(name).filter_s
+            if s is not None and abs(s) > self.coeffs.cp_bound:
+                columns[f"re_f2_{label}"] = vals
+                columns[f"{label}_nonphysical"] = (~physical).astype(float)
+            elif not physical.all():
+                raise OscPairError(
+                    f"scheme {name} against reference {reference} produced "
+                    f"non-physical fidelity input at t = {self.times[np.argmin(physical)]}")
+            else:
+                columns[f"f2_{label}"] = vals
+        return columns
 
 
 def time_grid(start: float, stop: float, count: int, kind: str = "lin") -> np.ndarray:

@@ -25,8 +25,8 @@ from .fock import TruncatedState
 from .gaussian import gaussian_fidelity
 from .moments import MomentState, Scheme, Trajectory
 from .params import ModelParams, bose_occupation
-from .runner import resolve_scheme
-from .spectral import CoefficientSet, bose_factor
+from .runner import SchemeRunner
+from .spectral import bose_factor
 
 _SCHEME_CYCLE = ("local", "global", "cg_redfield")
 _OCCUPANCY_BUDGET = 0.35
@@ -111,7 +111,7 @@ def run_case(case: EquivalenceCase) -> EquivalenceReport:
     """Propagate one scheme through both routes and compare."""
     times = np.linspace(0.0, case.t_max, _N_TIMES)
     name = case.scheme if case.s is None else f"cg_redfield:{float(case.s)!r}"
-    scheme = resolve_scheme(name, spectral.dissipator_coefficients(case.params))
+    scheme = SchemeRunner(case.params, times).equation(name)
     moment_err, fock_states, traj = moment_deviation(scheme, case.cutoff, times)
 
     ref_state = fock.thermal_product_state(*case.reference, case.cutoff)
@@ -124,9 +124,11 @@ def run_case(case: EquivalenceCase) -> EquivalenceReport:
     return EquivalenceReport(case, moment_err, fid_err)
 
 
-def spot_check(params: ModelParams, coeffs: CoefficientSet, schemes, t_end: float) -> dict:
+def spot_check(runner: SchemeRunner, schemes) -> dict:
     """Moments of the local and global ``schemes`` against the oracle on
-    [0, min(t_end, 20/ω0)]; needs N(ω₋) ≤ 1.2, so that the cutoff certifies them."""
+    [0, min(t_end, 20/ω0)], t_end the end of the runner's grid; needs
+    N(ω₋) ≤ 1.2, so that the cutoff certifies them."""
+    params = runner.params
     n_slow = bose_factor(params.omega_minus, params.beta)
     if n_slow > 1.2:
         raise ValidationError(
@@ -135,9 +137,9 @@ def spot_check(params: ModelParams, coeffs: CoefficientSet, schemes, t_end: floa
     case_schemes = [s for s in schemes if s in ("local", "global")]
     if not case_schemes:
         raise ValidationError("oracle-verify needs local or global among the schemes")
-    times = np.linspace(0.0, min(t_end, 20.0 / params.omega0), _N_TIMES)
+    times = np.linspace(0.0, min(runner.times[-1], 20.0 / params.omega0), _N_TIMES)
     d = _cutoff_for(n_slow)
-    worst = max(moment_deviation(resolve_scheme(name, coeffs), d, times)[0]
+    worst = max(moment_deviation(runner.equation(name), d, times)[0]
                 for name in case_schemes)
     if worst > _TOLERANCE:
         raise ConsistencyError(f"oracle spot check failed: moment deviation {worst:.2e}")

@@ -380,3 +380,65 @@ def test_verify_exits_2_when_a_cutoff_is_exceeded(monkeypatch, capsys):
     assert main(["verify", "--draws", "1", "--seed", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and "increase the cutoff" in err
+
+
+@pytest.mark.parametrize("sub, schemes", [
+    ("run", "exact,exact"),
+    ("fidelity", "global,global"),
+    ("run", "cg_redfield:0.5,cg_redfield:5e-1"),    # one filter, two spellings
+])
+def test_repeated_scheme_names_exit_1(tmp_path, capsys, sub, schemes):
+    out = tmp_path / "out"
+    argv = [sub, "--preset", "fig6", *_EDGE_GRID, "--set", f"schemes={schemes}",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: scheme list repeats an entry")
+    assert not out.exists()
+
+
+_SWEEP = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--preset", "fig7", "--set", "g"],                       # --set without =
+    ["run", "--preset", "fig7", "--grid", "0:20:11"],                # three grid fields
+    ["run", "--preset", "fig7", "--grid", "0:20:11:lin:x"],          # five grid fields
+    ["run", "--preset", "fig7", "--grid", "0:twenty:11:lin"],        # non-numeric field
+    ["run", "--preset", "fig7", "--grid", "0:20:1:lin"],             # count below 2
+    ["run", "--preset", "fig7", "--grid", "0:20:11:log"],            # log grid from 0
+    ["run", "--preset", "fig7", "--grid", "0:20:11:cubic"],          # unknown grid kind
+    ["run", "--preset", "fig7", "--set", "schemes=quantum"],
+    ["run", "--preset", "fig7", "--set", "schemes=global:0.5"],
+    ["run", "--preset", "fig7", "--set", "schemes=cg_redfield:x"],
+    ["run", "--preset", "fig7", "--set", "schemes=,"],              # empty scheme list
+    ["fidelity", "--preset", "fig6", *_EDGE_GRID, "--reference", "mixture"],
+    [*_SWEEP, "--axis", "schemes", "--values", "exact"],             # not a parameter
+    [*_SWEEP, "--axis", "M", "--values", " , "],                     # empty values list
+])
+def test_invalid_arguments_exit_1_and_write_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_mixture_runs_without_local_and_global(tmp_path):
+    # the runner propagates the local and global parts of the mixture itself
+    argv = ["run", "--preset", "fig5", *_EDGE_GRID, "--out"]
+    assert main([*argv, str(tmp_path / "alone"), "--set", "schemes=exact,mixture"]) == 0
+    assert main([*argv, str(tmp_path / "all")]) == 0
+    assert sorted(p.name for p in (tmp_path / "alone").iterdir()) == [
+        "exact.csv", "mixture.csv", "summary.json"]
+    for name in ("exact.csv", "mixture.csv"):
+        assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+    schemes = json.loads((tmp_path / "alone" / "summary.json").read_text())["schemes"]
+    assert set(schemes) == {"exact", "mixture"} and "filter_s" not in schemes["mixture"]
+
+    argv = ["fidelity", "--preset", "fig6", *_EDGE_GRID, "--out"]
+    assert main([*argv, str(tmp_path / "f_alone"), "--set", "schemes=mixture"]) == 0
+    assert main([*argv, str(tmp_path / "f_all")]) == 0
+    header, rows = read_csv(tmp_path / "f_alone" / "fidelity.csv")
+    full_header, full_rows = read_csv(tmp_path / "f_all" / "fidelity.csv")
+    assert header == ["t", "f2_mixture_lower_bound"]
+    j = full_header.index("f2_mixture_lower_bound")
+    assert np.array_equal(rows, full_rows[:, [0, j]])

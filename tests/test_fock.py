@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from oscpair import (DomainError, ModelParams, MomentState, cp_threshold,
-                     dissipator_coefficients, propagate)
+from oscpair import DomainError, ModelParams, MomentState, cp_threshold, propagate
 from oscpair.fock import (TruncatedState, _coordinates, _from_coordinates, _master_rhs,
                           boundary_population, fidelity_truncated, lindblad_propagate,
                           number_expectations, thermal_product_state)
-from oscpair.runner import resolve_scheme
+from oscpair.runner import SchemeRunner
 from oscpair.verify import EquivalenceCase, run_case, run_suite
 
 from conftest import FIG4
@@ -25,18 +24,13 @@ def params():
     return ModelParams(**WARM)
 
 
-@pytest.fixture(scope="module")
-def coeffs(params):
-    return dissipator_coefficients(params)
-
-
 @pytest.fixture(scope="module", params=["local", "global", "cg_redfield"])
-def routes(request, params, coeffs):
+def routes(request, params):
     """One scheme propagated from the vacuum by the blocked oracle and the dense reference."""
     name = request.param
     if name == "cg_redfield":
         name = f"cg_redfield:{0.5 * cp_threshold(params).bound!r}"
-    scheme = resolve_scheme(name, coeffs)
+    scheme = SchemeRunner(params, TIMES).equation(name)
     vacuum = thermal_product_state(0.0, 0.0, D)
     blocked = lindblad_propagate(scheme, vacuum, TIMES)
     dense = dense_propagate(scheme, to_dense(vacuum.blocks), D, TIMES)
@@ -86,7 +80,7 @@ def random_hermitian_stack(d, seed):
 
 
 @pytest.mark.parametrize("name", ["local", "global", "cg_redfield"])
-def test_generator_matches_dense_rhs(name, params, coeffs):
+def test_generator_matches_dense_rhs(name, params):
     """The sparse right-hand side on the coordinates of a random Hermitian block
     stack, without the integrator.
 
@@ -94,7 +88,7 @@ def test_generator_matches_dense_rhs(name, params, coeffs):
     exercise the ladder-product order and the phase group of every term."""
     if name == "cg_redfield":
         name = f"cg_redfield:{0.5 * cp_threshold(params).bound!r}"
-    scheme = resolve_scheme(name, coeffs)
+    scheme = SchemeRunner(params, TIMES).equation(name)
     d = 6
     rho, blocks = random_hermitian_stack(d, 6)
     block, _ = block_slots(d)
@@ -125,7 +119,7 @@ def test_oracle_at_vanishing_coupling(name, g):
     phase groups act as one generator. Uncoupled, the heat stays in mode a,
     so the bath is cooler than WARM for cutoff D to certify the moments."""
     params = ModelParams(**{**WARM, "n_omega0": 0.2, "g": g})
-    scheme = resolve_scheme(name, dissipator_coefficients(params))
+    scheme = SchemeRunner(params, TIMES).equation(name)
     vacuum = thermal_product_state(0.0, 0.0, D)
     states = lindblad_propagate(scheme, vacuum, TIMES)
     dense = dense_propagate(scheme, to_dense(vacuum.blocks), D, TIMES)
@@ -178,12 +172,14 @@ def test_truncated_state_rejects_padding_and_bad_shape():
         TruncatedState(np.eye(16) / 16, 4)
 
 
-@pytest.mark.parametrize("times", [np.array([]), np.array([1.0, 2.0]), np.array([0.0, 0.0])])
-def test_propagation_rejects_bad_grid(coeffs, times):
-    # the same from-zero grid check as the moment propagator, empty grid included
+@pytest.mark.parametrize("times", [np.array([]), np.array([1.0, 2.0]), np.array([0.0, 0.0]),
+                                   np.array([0.0, np.nan]), np.array([0.0, np.inf])])
+def test_propagation_rejects_bad_grid(params, times):
+    # the same from-zero grid check as the moment propagator, empty grid included;
+    # the non-finite grids used to leave the integrator stepping without end
     with pytest.raises(DomainError):
-        lindblad_propagate(resolve_scheme("local", coeffs), thermal_product_state(0.0, 0.0, 3),
-                           times)
+        lindblad_propagate(SchemeRunner(params, TIMES).equation("local"),
+                           thermal_product_state(0.0, 0.0, 3), times)
 
 
 def test_constructor_rejects_cross_beyond_uncertainty():

@@ -10,7 +10,7 @@ from oscpair import (DomainError, MomentState, Scheme, SteadyStateError, Traject
                      mixture_moments, propagate, spectral_density, steady_state)
 from oscpair import moments
 from oscpair.moments import cg_redfield_generator, local_generator
-from oscpair.runner import resolve_scheme
+from oscpair.runner import SchemeRunner
 
 from conftest import FIG4
 from oscpair import ModelParams
@@ -191,17 +191,16 @@ class TestPropagate:
         assert np.abs(stacked(traj) - sol.y.T).max() <= 1e-8
 
     def test_grid_contract(self, coeffs):
-        scheme = global_scheme(coeffs)
-        with pytest.raises(DomainError):
-            propagate(scheme, np.array([1.0, 2.0]))
-        with pytest.raises(DomainError):
-            propagate(scheme, np.array([0.0, 2.0, 2.0]))
+        # the non-finite grids used to give NaN moments
+        for times in ([1.0, 2.0], [0.0, 2.0, 2.0], [0.0, np.nan], [0.0, np.inf]):
+            with pytest.raises(DomainError):
+                propagate(global_scheme(coeffs), np.array(times))
 
     @pytest.mark.parametrize("fields", REFERENCE_SETS[:4])
     @pytest.mark.parametrize("name", ["redfield", "cp_redfield", "global", "local",
                                       "cg_redfield:0.3"])
     def test_eigen_branch_matches_augmented_exponential(self, eigen_branch_only, fields, name):
-        scheme = resolve_scheme(name, dissipator_coefficients(ModelParams(**fields)))
+        scheme = SchemeRunner(ModelParams(**fields), [0.0]).equation(name)
         times = np.linspace(0.0, 300.0, 61)
         got = stacked(propagate(scheme, times))
         ref = augmented_flow(scheme, times)
@@ -221,7 +220,7 @@ class TestPropagateRouting:
     def test_defective_local_scheme_takes_the_fallback(self, monkeypatch):
         # without the Lamb shift, g = kappa0/4 is the local scheme's critical damping
         params = ModelParams(**{**FIG4, "g": 0.25 * FIG4["kappa0"]})
-        scheme = resolve_scheme("local", dissipator_coefficients(params, lamb_shift=False))
+        scheme = SchemeRunner(params, [0.0], lamb_shift=False).equation("local")
         a, b = scheme.generator()
         assert np.linalg.cond(np.linalg.eig(a)[1]) >= moments._COND_LIMIT
         calls = []
@@ -239,6 +238,15 @@ class TestPropagateRouting:
         sol = solve_ivp(lambda t, x: a @ x + b, (0.0, 300.0), np.zeros(4),
                         t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
         assert np.abs(got - sol.y.T).max() <= 1e-8 * (1.0 + np.abs(got).max())
+
+    def test_defective_local_scheme_runs_the_real_expm(self):
+        # the lazy wrapper itself, unpatched: SciPy's expm on the augmented matrix
+        params = ModelParams(**{**FIG4, "g": 0.25 * FIG4["kappa0"]})
+        scheme = SchemeRunner(params, [0.0], lamb_shift=False).equation("local")
+        times = np.linspace(0.0, 300.0, 61)
+        got = stacked(propagate(scheme, times))
+        assert np.array_equal(got, augmented_flow(scheme, times))
+        assert np.all(got[0] == 0.0)
 
 
 class TestSteadyStates:
@@ -366,10 +374,13 @@ class TestMixture:
 
 class TestTrajectoryType:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            Trajectory(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2),
-                       np.zeros(2, dtype=complex))
+        # the grid contract of every route: finite, strictly increasing, t >= 0
+        for times in ([0.0, 0.0], [-1.0, np.inf], [-1.0, 0.0], [0.0, np.nan]):
+            with pytest.raises(DomainError):
+                Trajectory(np.array(times), np.zeros(2), np.zeros(2),
+                           np.zeros(2, dtype=complex))
 
     def test_state_round_trip(self):
         st = MomentState(1.0, 2.0, 0.5 + 0.25j)
         assert MomentState.from_vector([1.0, 2.0, 0.5, 0.25]) == st
+

@@ -473,3 +473,12 @@ class TestCpThreshold:
         _, matrix = cp_threshold(params())
         assert np.abs(matrix - matrix.conj().T).max() < 1e-15
         assert np.all(matrix[:2, 2:] == 0) and np.all(matrix[2:, :2] == 0)
+
+
+def test_memory_time_warns_above_a_quarter_of_the_recurrence_time():
+    # M = 2 at the headline parameters: tau_E = 1.40 against T_rec/4 = 1.05
+    p = params(M=2)
+    with pytest.warns(UserWarning, match="above T_rec/4"):
+        tau = memory_time(p)
+    assert tau > p.recurrence_time / 4.0
+    assert tau == pytest.approx(1.40, abs=0.01)
