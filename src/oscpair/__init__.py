@@ -22,12 +22,11 @@ from .gaussian import (from_ab_basis, gaussian_fidelity, gaussian_fidelity_sq,
                        lambda_c_trajectory, mixture_fidelity_lower_bound, to_ab_basis)
 from .moments import (MomentState, Scheme, Trajectory, mixture_moments, propagate,
                       steady_state)
-from .params import SATURATING, ModelParams
+from .params import SATURATING, ModelParams, bose_factor
 from .runner import SchemeRunner, time_grid
-from .spectral import (CoefficientSet, CpThreshold, bath_modes, bose_factor,
-                       correlation_function, cp_threshold,
-                       dissipation_matrix, dissipator_coefficients, memory_time,
-                       pv_integral, secular_filter, spectral_density)
+from .spectral import (CoefficientSet, CpThreshold, bath_modes, correlation_function,
+                       cp_threshold, dissipation_matrix, dissipator_coefficients,
+                       memory_time, pv_integral, secular_filter, spectral_density)
 
 # the public names, without the submodules that importing them binds here
 __all__ = [name for name in dir()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,28 +37,6 @@ _PARAM_KEYS = {
     "omega0": float, "g": float, "kappa0": float, "omega_c": float, "alpha": float,
     "beta": float, "n_omega0": float, "M": int, "mixture_rate": float, "delta_t": _delta_t,
 }
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run description (parameters, schemes, grid, flags)."""
-
-    params: ModelParams
-    schemes: list[str]
-    grid: tuple[float, float, int, str] = (0.0, 300.0, 1501, "lin")
-    lamb_shift: bool = True
-    reference: str = "exact"
-    oracle_verify: bool = False
-    outdir: Path = field(default_factory=lambda: Path("."))
-    times: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.schemes:
-            raise ValidationError("scheme list must not be empty")
-        if len(set(map(parse_scheme, self.schemes))) < len(self.schemes):
-            raise ValidationError(
-                f"scheme list repeats an entry once parsed: {','.join(self.schemes)!r}")
-        self.times = time_grid(*self.grid)
 
 
 def _parse_set(entries: list[str]) -> dict:
@@ -92,7 +69,14 @@ def _parse_grid(text: str) -> tuple[float, float, int, str]:
         raise ValidationError(f"bad grid spec {text!r}") from exc
 
 
-def build_config(args) -> RunConfig:
+def build_config(args) -> tuple[ModelParams, list[str], tuple[float, float, int, str]]:
+    """The model parameters, scheme list and grid spec that ``--preset``, ``--set``
+    and ``--grid`` describe; each command reads its other flags from ``args``.
+
+    The scheme list must be non-empty and name no scheme twice once parsed
+    (``cg_redfield:0.5`` and ``cg_redfield:5e-1`` are one scheme), else
+    ``ValidationError``. The grid spec is checked by :func:`~oscpair.runner.time_grid`.
+    """
     base: dict = {"params": {}, "schemes": ["exact", "global", "local"],
                   "grid": (0.0, 300.0, 1501, "lin")}
     if args.preset:
@@ -109,15 +93,12 @@ def build_config(args) -> RunConfig:
     if "beta" not in param_fields and "n_omega0" not in param_fields:
         param_fields["n_omega0"] = 10.0
     grid = _parse_grid(args.grid) if getattr(args, "grid", None) else tuple(base["grid"])
-    return RunConfig(
-        params=ModelParams(**param_fields),
-        schemes=list(schemes),
-        grid=grid,
-        lamb_shift=getattr(args, "lamb_shift", "on") != "off",
-        reference=getattr(args, "reference", None) or "exact",
-        oracle_verify=getattr(args, "oracle_verify", "off") == "on",
-        outdir=Path(getattr(args, "out", None) or "."),
-    )
+    params = ModelParams(**param_fields)
+    if not schemes:
+        raise ValidationError("scheme list must not be empty")
+    if len(set(map(parse_scheme, schemes))) < len(schemes):
+        raise ValidationError(f"scheme list repeats an entry once parsed: {','.join(schemes)!r}")
+    return params, list(schemes), grid
 
 
 def _fmt(x: float) -> str:
@@ -163,14 +144,15 @@ def _steady_entry(equation) -> dict:
 
 
 def cmd_run(args) -> int:
-    cfg = build_config(args)
-    runner = SchemeRunner(cfg.params, cfg.times, lamb_shift=cfg.lamb_shift)
+    params, schemes, grid = build_config(args)
+    lamb_shift = args.lamb_shift == "on"
+    runner = SchemeRunner(params, time_grid(*grid), lamb_shift=lamb_shift)
 
     # everything is computed before the first file is written, so a failing
     # run leaves no partial output
     tables: dict = {}
     summary_schemes: dict = {}
-    for scheme in cfg.schemes:
+    for scheme in schemes:
         traj = runner.trajectory(scheme)
         header, cols = _trajectory_columns(traj)
         if scheme == "exact":  # no closed-form fixed point, report the end of the run
@@ -187,40 +169,37 @@ def cmd_run(args) -> int:
         summary_schemes[scheme] = entry
 
     try:
-        tau_memory = memory_time(cfg.params)
+        tau_memory = memory_time(params)
     except EstimationError:  # e.g. a cold bath whose |c^(1)| never halves
         tau_memory = None
 
     summary = {
-        "params": _params_summary(cfg.params),
-        "lamb_shift": cfg.lamb_shift,
-        "grid": {"start": cfg.grid[0], "stop": cfg.grid[1],
-                 "count": cfg.grid[2], "kind": cfg.grid[3]},
+        "params": _params_summary(params),
+        "lamb_shift": lamb_shift,
+        "grid": {"start": grid[0], "stop": grid[1], "count": grid[2], "kind": grid[3]},
         "cp_threshold": runner.coeffs.cp_bound,
         "tau_memory": tau_memory,
-        "t_recurrence": cfg.params.recurrence_time,
+        "t_recurrence": params.recurrence_time,
         "schemes": summary_schemes,
     }
-    if cfg.oracle_verify:
+    if args.oracle_verify == "on":
         from .verify import spot_check  # the Fock oracle loads SciPy; only this branch needs it
-        summary["oracle_verify"] = spot_check(runner, cfg.schemes)
+        summary["oracle_verify"] = spot_check(runner, schemes)
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(args.out or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
     for name, (header, cols) in tables.items():
-        _write_csv(cfg.outdir / name, header, cols)
-    _write_json(cfg.outdir / "summary.json", summary)
-    print(f"wrote {len(cfg.schemes)} scheme file(s) + summary.json to {cfg.outdir}")
+        _write_csv(outdir / name, header, cols)
+    _write_json(outdir / "summary.json", summary)
+    print(f"wrote {len(schemes)} scheme file(s) + summary.json to {outdir}")
     return 0
 
 
 def _params_summary(params: ModelParams) -> dict:
-    return {
-        "omega0": params.omega0, "g": params.g, "kappa0": params.kappa0,
-        "omega_c": params.omega_c, "alpha": params.alpha, "beta": params.beta,
-        "n_omega0": params.n_occupation_omega0, "M": params.M,
-        "delta_t": params.delta_t, "mixture_rate": params.mixture_rate,
-        "omega_plus": params.omega_plus, "omega_minus": params.omega_minus,
-    }
+    # n_omega0 is an init-only field, stored as beta
+    fields = {key: getattr(params, key) for key in _PARAM_KEYS if key != "n_omega0"}
+    return {**fields, "n_omega0": params.n_occupation_omega0,
+            "omega_plus": params.omega_plus, "omega_minus": params.omega_minus}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -228,12 +207,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_fidelity(args) -> int:
-    cfg = build_config(args)
-    runner = SchemeRunner(cfg.params, cfg.times, lamb_shift=cfg.lamb_shift)
-    columns = runner.fidelity_columns(cfg.schemes, cfg.reference)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.outdir / "fidelity.csv", list(columns), list(columns.values()))
-    print(f"wrote fidelity.csv ({len(columns) - 1} column(s)) to {cfg.outdir}")
+    params, schemes, grid = build_config(args)
+    runner = SchemeRunner(params, time_grid(*grid), lamb_shift=args.lamb_shift == "on")
+    columns = runner.fidelity_columns(schemes, args.reference)
+    outdir = Path(args.out or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_csv(outdir / "fidelity.csv", list(columns), list(columns.values()))
+    print(f"wrote fidelity.csv ({len(columns) - 1} column(s)) to {outdir}")
     return 0
 
 
@@ -279,8 +259,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    cfg = build_config(args)
-    coeffs = dissipator_coefficients(cfg.params, lamb_shift=cfg.lamb_shift)
+    params, _, _ = build_config(args)
+    coeffs = dissipator_coefficients(params, lamb_shift=args.lamb_shift == "on")
     print(f"cp_threshold = {_fmt(coeffs.cp_bound)}")
     for i, block in enumerate(cp_block_bounds(coeffs.gamma1, coeffs.gamma2), start=1):
         print(f"block_{i}_bound = {_fmt(block) if np.isfinite(block) else 'unconstrained'}")
@@ -310,10 +290,10 @@ def _add_common(sub: argparse.ArgumentParser, grid_default: bool = True) -> None
                      help="named parameter/scheme preset")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a parameter or config field (repeatable)")
+    sub.add_argument("--lamb-shift", choices=("on", "off"), default="on")
     if grid_default:
         sub.add_argument("--grid", default=None, metavar="START:STOP:COUNT:{lin|log}",
                          help="time grid; log grids get t=0 prepended")
-        sub.add_argument("--lamb-shift", choices=("on", "off"), default="on")
         sub.add_argument("--out", default=None, help="output directory")
 
 
@@ -332,7 +312,7 @@ def main(argv=None) -> int:
 
     p_fid = subs.add_parser("fidelity", help="F²(t) of each scheme against a reference")
     _add_common(p_fid)
-    p_fid.add_argument("--reference", default=None,
+    p_fid.add_argument("--reference", default="exact",
                        help="reference scheme (default exact)")
     p_fid.set_defaults(func=cmd_fidelity)
 
@@ -345,7 +325,6 @@ def main(argv=None) -> int:
 
     p_thr = subs.add_parser("threshold", help="print the complete-positivity bound")
     _add_common(p_thr, grid_default=False)
-    p_thr.add_argument("--lamb-shift", choices=("on", "off"), default="on")
     p_thr.set_defaults(func=cmd_threshold)
 
     p_ver = subs.add_parser("verify", help="Fock-oracle equivalence suite")

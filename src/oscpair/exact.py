@@ -39,8 +39,8 @@ import numpy as np
 from .errors import ConsistencyError, PropagationError
 from .gaussian import from_ab_basis
 from .moments import Trajectory, checked_grid
-from .params import ModelParams
-from .spectral import bath_modes, bose_factor
+from .params import ModelParams, bose_factor
+from .spectral import bath_modes
 
 
 @dataclass(frozen=True)

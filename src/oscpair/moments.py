@@ -166,9 +166,10 @@ _COND_LIMIT = 1e8
 
 
 def checked_grid(times) -> np.ndarray:
-    """The grid as floats, checked to be 1-d, non-empty, finite, strictly
-    increasing and t >= 0; the one time-grid contract of the package."""
-    times = np.asarray(times, dtype=float)
+    """A float copy of the grid, checked to be 1-d, non-empty, finite, strictly
+    increasing and t >= 0; the one time-grid contract of the package. The copy
+    is the caller's to freeze, so the array passed in stays writable."""
+    times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise DomainError("times must be a 1-d grid")
     if not (times[0] >= 0.0 and np.all(np.diff(times) > 0.0) and times[-1] < np.inf):

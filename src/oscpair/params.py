@@ -1,23 +1,35 @@
-"""Physical parameters of the two-oscillator + thermal-bath model."""
+"""Physical parameters of the two-oscillator + thermal-bath model, and the Bose
+factor N(ω) that turns the temperature into occupations."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import DomainError, ValidationError
 
 #: sentinel for the coarse-grain interval that saturates the positivity bound
 SATURATING = "saturating"
 
 
-def bose_occupation(x: float) -> float:
-    """Bose occupation 1/(eˣ − 1) of a mode with x = βω > 0, for scalars.
+def bose_factor(omega, beta):
+    """Bose-Einstein occupation N(ω) = 1/(e^{βω} − 1), the package's one copy.
 
-    Evaluated as e^{−x}/(−expm1(−x)), which cannot overflow: a very cold
-    mode gives 0.0 instead of an ``OverflowError``.
+    Evaluated as e^{−βω}/(−expm1(−βω)), which cannot overflow: a very cold
+    bath gives N = 0 (up to underflow) without a warning, and small βω keep
+    full relative accuracy. Strictly decreasing in both ω and β; accepts
+    scalars or arrays.
     """
-    return math.exp(-x) / -math.expm1(-x)
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0.0):
+        raise DomainError("bose_factor requires omega > 0")
+    if not beta > 0.0:
+        raise DomainError(f"bose_factor requires beta > 0, got {beta}")
+    x = beta * omega
+    out = np.exp(-x) / -np.expm1(-x)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ class ModelParams:
     @property
     def n_occupation_omega0(self) -> float:
         """N(ω0) = 1/(e^{βω0}−1); round-trips with the n_omega0 constructor."""
-        return bose_occupation(self.beta * self.omega0)
+        return bose_factor(self.omega0, self.beta)
 
     @property
     def recurrence_time(self) -> float:

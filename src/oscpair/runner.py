@@ -17,7 +17,7 @@ import numpy as np
 from . import exact as exact_mod
 from .errors import OscPairError, ValidationError
 from .gaussian import gaussian_fidelity_sq, mixture_fidelity_lower_bound
-from .moments import Scheme, Trajectory, mixture_moments, propagate
+from .moments import Scheme, Trajectory, checked_grid, mixture_moments, propagate
 from .params import ModelParams
 from .spectral import dissipator_coefficients
 
@@ -49,7 +49,8 @@ def scheme_label(name: str) -> str:
 
 class SchemeRunner:
     """Computes and caches per-scheme trajectories for one parameter set on
-    one time grid, the grid a run or fidelity table is written on.
+    one time grid, the grid a run or fidelity table is written on; the runner
+    keeps its own copy of that grid.
 
     The exact model is solved once, moments and energies together, by
     :func:`~oscpair.exact.exact_trajectory`, a Chebyshev expansion of the
@@ -63,7 +64,7 @@ class SchemeRunner:
 
     def __init__(self, params: ModelParams, times, *, lamb_shift: bool = True):
         self.params = params
-        self.times = np.asarray(times, dtype=float)
+        self.times = checked_grid(times)
         self.coeffs = dissipator_coefficients(params, lamb_shift=lamb_shift)
         self._cache: dict[str, Trajectory] = {}
 

@@ -3,7 +3,8 @@
 Everything here is a pure function of its inputs; :class:`CoefficientSet`
 instances are immutable once built, so concurrent use needs no locking.
 The complete-positivity bound on the Redfield filter has one owner,
-``CoefficientSet.cp_bound``.
+``CoefficientSet.cp_bound``. The Bose factor N(ω) is
+:func:`oscpair.params.bose_factor`, which this module imports and re-exports.
 """
 
 from __future__ import annotations
@@ -17,27 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .params import SATURATING, ModelParams
+from .params import SATURATING, ModelParams, bose_factor
 
 PV_KINDS = ("N", "1+N", "bare")
-
-
-def bose_factor(omega, beta):
-    """Bose-Einstein occupation N(ω) = 1/(e^{βω} − 1).
-
-    Evaluated as e^{−βω}/(−expm1(−βω)), which cannot overflow: a very cold
-    bath gives N = 0 (up to underflow) without a warning, and small βω keep
-    full relative accuracy. Strictly decreasing in both ω and β; accepts
-    scalars or arrays.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0.0):
-        raise DomainError("bose_factor requires omega > 0")
-    if not beta > 0.0:
-        raise DomainError(f"bose_factor requires beta > 0, got {beta}")
-    x = beta * omega
-    out = np.exp(-x) / -np.expm1(-x)
-    return float(out) if out.ndim == 0 else out
 
 
 def spectral_density(omega, params: ModelParams):

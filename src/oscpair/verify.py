@@ -24,9 +24,8 @@ from .errors import ConsistencyError, ValidationError
 from .fock import TruncatedState
 from .gaussian import gaussian_fidelity
 from .moments import MomentState, Scheme, Trajectory
-from .params import ModelParams, bose_occupation
+from .params import ModelParams, bose_factor
 from .runner import SchemeRunner
-from .spectral import bose_factor
 
 _SCHEME_CYCLE = ("local", "global", "cg_redfield")
 _OCCUPANCY_BUDGET = 0.35
@@ -39,9 +38,11 @@ _TOLERANCE = 1e-4
 
 @dataclass(frozen=True)
 class EquivalenceCase:
+    """One oracle comparison: ``scheme`` is the name the runner takes, ``local``,
+    ``global`` or ``cg_redfield:<filter>`` with the filter's float repr."""
+
     params: ModelParams
-    scheme: str          # local | global | cg_redfield
-    s: float | None      # filter value for cg_redfield
+    scheme: str
     t_max: float
     cutoff: int
     reference: tuple[float, float]  # thermal occupations for the fidelity probe
@@ -55,19 +56,23 @@ def _cutoff_for(n_scale: float) -> int:
 
 
 def draw_case(rng: np.random.Generator) -> EquivalenceCase:
-    """Random small-occupation configuration with the cutoff chosen from a tail bound."""
+    """Random small-occupation configuration with the cutoff chosen from a tail bound.
+
+    A cg_redfield draw's filter is uniform in [0.3, 1]·``cp_bound`` and is kept
+    in the scheme name.
+    """
     n0 = float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
     g = float(rng.uniform(0.05, 0.3))
     kappa0 = float(rng.uniform(0.02, 0.08))
     alpha = float(rng.choice([0.5, 1.0, 2.0]))
     params = ModelParams(g=g, kappa0=kappa0, alpha=alpha, n_omega0=n0)
     scheme = _SCHEME_CYCLE[int(rng.integers(0, len(_SCHEME_CYCLE)))]
-    s = None
     if scheme == "cg_redfield":
-        s = float(rng.uniform(0.3, 1.0)) * spectral.cp_threshold(params).bound
+        s = float(rng.uniform(0.3, 1.0) * spectral.cp_threshold(params).bound)
+        scheme = f"cg_redfield:{s!r}"
 
     # cap the accumulated occupation so a modest cutoff certifies the run
-    n_slow = bose_occupation(params.beta * params.omega_minus)
+    n_slow = bose_factor(params.omega_minus, params.beta)
     kappa_slow = kappa0 * (params.omega_minus / params.omega0) ** alpha
     if n_slow <= _OCCUPANCY_BUDGET:
         t_max = 40.0
@@ -78,7 +83,7 @@ def draw_case(rng: np.random.Generator) -> EquivalenceCase:
     # reference occupations scaled to the draw so its cutoff certifies them too
     ref_cap = 0.6 * n_reached
     ref = (float(rng.uniform(0.0, ref_cap)), float(rng.uniform(0.0, ref_cap)))
-    return EquivalenceCase(params, scheme, s, t_max, cutoff, ref)
+    return EquivalenceCase(params, scheme, t_max, cutoff, ref)
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,7 @@ def moment_deviation(scheme: Scheme, cutoff: int,
 def run_case(case: EquivalenceCase) -> EquivalenceReport:
     """Propagate one scheme through both routes and compare."""
     times = np.linspace(0.0, case.t_max, _N_TIMES)
-    name = case.scheme if case.s is None else f"cg_redfield:{float(case.s)!r}"
-    scheme = SchemeRunner(case.params, times).equation(name)
+    scheme = SchemeRunner(case.params, times).equation(case.scheme)
     moment_err, fock_states, traj = moment_deviation(scheme, case.cutoff, times)
 
     ref_state = fock.thermal_product_state(*case.reference, case.cutoff)

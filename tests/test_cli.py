@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oscpair import ModelParams, ValidationError, cp_threshold
+from oscpair import ModelParams, ValidationError, cp_threshold, time_grid
 from oscpair.fock import thermal_product_state
 from oscpair import cli, runner, spectral, verify
 from oscpair.cli import build_config, main
@@ -212,21 +212,45 @@ def test_threshold_builds_coefficients_once(capsys, monkeypatch):
 
     for module in (cli, runner, spectral):
         monkeypatch.setattr(module, "dissipator_coefficients", counting, raising=False)
-    assert main(["threshold", "--preset", "fig5"]) == 0
-    assert len(calls) == 1
-    out = capsys.readouterr().out
+    for flags, lamb_shift in (([], True), (["--lamb-shift", "off"], False)):
+        calls.clear()
+        assert main(["threshold", "--preset", "fig5", *flags]) == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
 
-    # the same lines through cp_threshold and a separate coefficient set
-    params = ModelParams(**preset("fig5")["params"])
-    thr = cp_threshold(params)
-    coeffs = build(params)
-    lines = [f"cp_threshold = {thr.bound:.17g}"]
-    for i, gam in enumerate((coeffs.gamma1, coeffs.gamma2), start=1):
-        block = np.sqrt(gam[0, 0].real * gam[1, 1].real) / abs(gam[0, 1])
-        lines.append(f"block_{i}_bound = {float(block):.17g}")
-    lines.append("dissipation_matrix_eigenvalues_at_bound = "
-                 + " ".join(f"{float(e):.17g}" for e in np.linalg.eigvalsh(thr.matrix)))
-    assert out == "\n".join(lines) + "\n"
+        # the same lines through cp_threshold and a separate coefficient set
+        params = ModelParams(**preset("fig5")["params"])
+        thr = cp_threshold(params, lamb_shift=lamb_shift)
+        coeffs = build(params, lamb_shift=lamb_shift)
+        lines = [f"cp_threshold = {thr.bound:.17g}"]
+        for i, gam in enumerate((coeffs.gamma1, coeffs.gamma2), start=1):
+            block = np.sqrt(gam[0, 0].real * gam[1, 1].real) / abs(gam[0, 1])
+            lines.append(f"block_{i}_bound = {float(block):.17g}")
+        lines.append("dissipation_matrix_eigenvalues_at_bound = "
+                     + " ".join(f"{float(e):.17g}" for e in np.linalg.eigvalsh(thr.matrix)))
+        assert out == "\n".join(lines) + "\n"
+
+
+def test_lamb_shift_off_reaches_run_and_fidelity(tmp_path):
+    # the flag decides the coefficients of every scheme, the bound and the summary
+    for sub in ("run", "fidelity"):
+        for flag in ("on", "off"):
+            argv = [sub, "--preset", "fig6", *_EDGE_GRID, "--lamb-shift", flag,
+                    "--out", str(tmp_path / f"{sub}_{flag}")]
+            assert main(argv) == 0
+    summary = json.loads((tmp_path / "run_off" / "summary.json").read_text())
+    params = ModelParams(**preset("fig6")["params"])
+    assert summary["lamb_shift"] is False
+    assert summary["cp_threshold"] == cp_threshold(params, lamb_shift=False).bound
+    assert summary["cp_threshold"] != cp_threshold(params).bound
+    # the global populations do not see the shifted eigenfrequencies, so global.csv
+    # is left out; every other scheme, and the fidelity table, moves
+    schemes = [s for s in preset("fig6")["schemes"] if s != "global"]
+    for name in [f"{s}.csv" for s in schemes] + ["fidelity.csv"]:
+        sub = "fidelity" if name == "fidelity.csv" else "run"
+        on, off = (read_csv(tmp_path / f"{sub}_{flag}" / name) for flag in ("on", "off"))
+        assert on[0] == off[0]
+        assert not np.array_equal(on[1][1:], off[1][1:]), name
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -263,8 +287,10 @@ def test_sweep_rejects_repeated_values(tmp_path, capsys, axis, values):
 
 def test_presets_resolve():
     for name in PRESETS:
-        cfg = build_config(argparse.Namespace(preset=name, set=None, grid=None))
-        assert cfg.times.size == preset(name)["grid"][2]
+        params, schemes, grid = build_config(argparse.Namespace(preset=name, set=None, grid=None))
+        assert params == ModelParams(**preset(name)["params"])
+        assert schemes == preset(name)["schemes"]
+        assert time_grid(*grid).size == preset(name)["grid"][2]
     for alias, target in (("fig8", "fig8a"), ("fig9", "fig9a"), ("fig10", "fig9a"),
                           ("fig10a", "fig9a"), ("fig10b", "fig9b")):
         assert preset(alias) == preset(target)

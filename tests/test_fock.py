@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from oscpair import DomainError, ModelParams, MomentState, cp_threshold, propagate
+from oscpair import (DomainError, ModelParams, MomentState, cp_threshold, exact_trajectory,
+                     propagate)
 from oscpair.fock import (TruncatedState, _coordinates, _from_coordinates, _master_rhs,
                           boundary_population, fidelity_truncated, lindblad_propagate,
                           number_expectations, thermal_product_state)
-from oscpair.runner import SchemeRunner
-from oscpair.verify import EquivalenceCase, run_case, run_suite
+from oscpair.runner import SchemeRunner, parse_scheme
+from oscpair.verify import draw_case, run_suite
 
 from conftest import FIG4
 
@@ -182,24 +183,50 @@ def test_propagation_rejects_bad_grid(params, times):
                            thermal_product_state(0.0, 0.0, 3), times)
 
 
+def test_every_route_leaves_the_callers_grid_writable(params):
+    # a Trajectory freezes its own grid, never the array the caller passed in
+    scheme = SchemeRunner(params, TIMES).equation("global")
+    routes = (lambda t: SchemeRunner(params, t).trajectory("global"),
+              lambda t: exact_trajectory(ModelParams(**{**WARM, "M": 20}), t),
+              lambda t: propagate(scheme, t),
+              lambda t: lindblad_propagate(scheme, thermal_product_state(0.0, 0.0, D), t))
+    for route in routes:
+        t = TIMES.copy()
+        route(t)
+        assert t.flags.writeable
+        t[1] = 0.5
+    # and the runner's grid is its own, so a caller's later edit does not reach it
+    runner = SchemeRunner(params, t := TIMES.copy())
+    t[1] = 0.5
+    assert np.array_equal(runner.times, TIMES)
+
+
 def test_constructor_rejects_cross_beyond_uncertainty():
     with pytest.raises(DomainError):
         thermal_product_state(0.05, 0.05, 8, 0.06)
 
 
-def test_run_case_takes_numpy_filter_value(params):
-    # draw_case scales by cp_threshold's bound, so s can be a numpy scalar
-    s = np.float64(0.5) * cp_threshold(params).bound
-    case = EquivalenceCase(params, "cg_redfield", s, 10.0, 10, (0.01, 0.02))
-    report = run_case(case)
-    assert report.passed
-    assert report.max_moment_error <= 1e-9
+def test_draw_case_names_a_runnable_scheme():
+    # the cg filter travels in the name: a numpy scalar there would print as
+    # "np.float64(...)", which parse_scheme rejects
+    kinds = set()
+    for seed in range(40):
+        case = draw_case(np.random.default_rng(seed))
+        kind, s = parse_scheme(case.scheme)
+        kinds.add(kind)
+        if kind == "cg_redfield":
+            bound = cp_threshold(case.params).bound
+            assert 0.3 * bound <= s <= bound
+        else:
+            assert s is None and case.scheme in ("local", "global")
+    assert kinds == {"local", "global", "cg_redfield"}
 
 
 def test_default_verify_suite_passes():
     """The draws of ``oscpair verify`` at its default seed: every scheme, d = 15-17."""
     reports = run_suite(8, 20260809)
-    assert {r.case.scheme for r in reports} == {"local", "global", "cg_redfield"}
+    assert {parse_scheme(r.case.scheme)[0] for r in reports} == {"local", "global",
+                                                                   "cg_redfield"}
     assert {r.case.cutoff for r in reports} <= set(range(15, 18))
     for report in reports:
         assert report.passed, report
