@@ -16,6 +16,9 @@ a fresh worker process that imports ``oscpair`` from one tree only:
   (five output times) at d = 14, 20, 40;
 - the work of ``oscpair verify --draws 3 --seed 3`` (``verify.run_suite``);
 - ``oscpair run --preset fig9b --oracle-verify on``;
+- ``memory_time`` at the fig5 and fig9b parameters and at the headline
+  parameters with M = 4000, each repeat starting from empty ``spectral``
+  caches, as the one call a run makes does;
 - fresh processes: ``import oscpair``, ``oscpair fidelity --preset fig6``,
   ``oscpair run --preset fig5`` and ``oscpair run --preset fig7`` (the exact
   model at M = 50), each timed from the spawn of its interpreter to its exit,
@@ -32,7 +35,11 @@ values of the CSV files it writes. Outputs longer than ``MAX_STORED`` values
 (trajectories, the sweep's CSVs) enter the delta but not the record. A case's
 ``size`` is the cutoff d of a Fock case and the bath size M of an exact case.
 A case run in a worker also records the worker's peak resident memory
-(``peak_rss_mb``, from ``getrusage``), which for a large case is the case's.
+(``peak_rss_mb``, from ``getrusage``), which for a large case is the case's,
+and the process CPU seconds of each repeat (``cpu_s``, user + system time
+from ``getrusage`` around the repeat, with their median ``median_cpu_s``).
+The CPU time counts BLAS worker threads, so a repeat that leaves one
+spinning reads more CPU than wall time.
 Machine, libraries, BLAS and its thread settings come from
 ``perfbench/provenance.py``.
 """
@@ -64,6 +71,10 @@ MAX_STORED = 64
 #: the oracle workload's cost class: global scheme, N(omega0) >= 0.16, kappa0 in [0.04, 0.05)
 PARAMS = dict(g=0.2, kappa0=0.045, alpha=1.0, n_omega0=0.3)
 OCCUPATIONS = ((0.3, 0.2), (0.2, 0.25))   # certified by d = 14 under the 1e-8 tail rule
+#: memory_time cases: the parameters at which the bath memory time is found
+MEMORY_TIME = {"memory_time_fig5": dict(EXACT_PARAMS, M=400),
+               "memory_time_fig9b": dict(EXACT_PARAMS, n_omega0=0.01, M=400),
+               "memory_time_M4000": dict(EXACT_PARAMS, M=4000)}
 #: fresh-process cases: the ``oscpair`` arguments, or None for ``import oscpair`` alone
 FRESH = {"fresh_import": None,
          "fresh_fidelity_fig6": ["fidelity", "--preset", "fig6"],
@@ -74,6 +85,7 @@ CASES = ([("exact_trajectory", m) for m in BATH_SIZES] + [("sweep_M", None)]
          + [("fidelity_truncated", d) for d in CUTOFFS]
          + [("lindblad_propagate", d) for d in CUTOFFS]
          + [("verify_draws3_seed3", None), ("run_fig9b_oracle", None)]
+         + [(op, None) for op in MEMORY_TIME]
          + [(op, None) for op in FRESH])
 
 
@@ -85,7 +97,7 @@ def _moments(fock, state) -> list[float]:
 def _run_case(op: str, size: int | None):
     """Run one measurement in this process; returns (seconds, outputs)."""
     import numpy as np
-    from oscpair import cli, exact_trajectory, fock, verify
+    from oscpair import cli, exact_trajectory, fock, spectral, verify
     from oscpair.params import ModelParams
     from oscpair.moments import Scheme
     from oscpair.spectral import dissipator_coefficients
@@ -138,6 +150,14 @@ def _run_case(op: str, size: int | None):
         if code != 0:
             raise RuntimeError(f"run exited {code}")
         return elapsed, [oracle["cutoff"], oracle["max_moment_deviation"]]
+    if op in MEMORY_TIME:
+        params = ModelParams(**MEMORY_TIME[op])
+        for cached in vars(spectral).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        start = time.perf_counter()
+        tau = spectral.memory_time(params)
+        return time.perf_counter() - start, [tau]
     raise ValueError(f"unknown case {op!r}")
 
 
@@ -147,12 +167,22 @@ def _worker(src: str, op: str, size: int | None, repeats: int) -> None:
 
     if Path(oscpair.__file__).resolve().parent.parent != Path(src).resolve():
         raise RuntimeError(f"imported oscpair from {oscpair.__file__}, not from {src}")
+    # _run_case's imports, so that they stay out of the first repeat's cpu_s
+    from oscpair import cli, fock, verify  # noqa: F401
     for _ in range(repeats):
+        cpu_start = _cpu_seconds()
         with contextlib.redirect_stdout(sys.stderr):  # stdout carries the records
             seconds, outputs = _run_case(op, size)
+        cpu_s = _cpu_seconds() - cpu_start
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(json.dumps({"seconds": seconds, "outputs": outputs, "peak_rss_mb": peak_mb}),
-              flush=True)
+        print(json.dumps({"seconds": seconds, "cpu_s": cpu_s, "outputs": outputs,
+                          "peak_rss_mb": peak_mb}), flush=True)
+
+
+def _cpu_seconds() -> float:
+    """User + system CPU seconds of this process, all of its threads included."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _csv_values(out: Path) -> list[float]:
@@ -207,10 +237,11 @@ def _measure(src: Path, op: str, size: int | None, repeats: int, timeout: float)
             code = None
         log.seek(0)
         runs = [json.loads(line) for line in log if line.strip()]
-    out = {"seconds": [r["seconds"] for r in runs],
+    out = {"seconds": [r["seconds"] for r in runs], "cpu_s": [r["cpu_s"] for r in runs],
            "outputs": runs[-1]["outputs"] if runs else None}
     if runs:
         out["median_s"] = statistics.median(out["seconds"])
+        out["median_cpu_s"] = statistics.median(out["cpu_s"])
         out["peak_rss_mb"] = max(r["peak_rss_mb"] for r in runs)
     if code is None:
         out["timed_out_after_s"] = timeout

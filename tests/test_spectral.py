@@ -1,15 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oscpair
 from oscpair import (DomainError, EstimationError, ModelParams, ValidationError,
                      bath_modes, bose_factor, correlation_function, cp_threshold,
                      dissipation_matrix, dissipator_coefficients, memory_time,
                      pv_integral, secular_filter, spectral_density)
+from oscpair.spectral import _bath_table
+
+SRC = Path(oscpair.__file__).resolve().parent.parent
 
 
 def params(**over):
@@ -114,7 +122,53 @@ class TestBathModes:
         assert approx == pytest.approx(p.kappa0, rel=0.01)
 
 
+def correlation_reference(kind, tau, p):
+    """c^(kind)(τ) as complex exponentials of the bath modes times their weights,
+    and Σ_k w_k, the scale of its roundoff."""
+    omega_k, gamma_k = bath_modes(p)
+    weight = gamma_k**2 * bose_factor(omega_k, p.beta)
+    if kind == 2:
+        weight = gamma_k**2 + weight
+    sign = 1.0 if kind == 1 else -1.0
+    phases = np.exp(1j * sign * np.multiply.outer(np.asarray(tau, dtype=float),
+                                                  omega_k - p.omega0))
+    return phases @ weight, weight.sum()
+
+
 class TestCorrelationFunction:
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("over", [{}, {"n_omega0": 0.01}, {"M": 1}, {"alpha": 0.5}],
+                             ids=["hot", "cold", "M1", "alpha0.5"])
+    def test_matches_complex_exponential_sum(self, kind, over):
+        p = params(**over)
+        t_rec = p.recurrence_time
+        line = np.linspace(-1.5 * t_rec, 2.5 * t_rec, 101)  # negative τ and τ past T_rec
+        square = np.linspace(-t_rec, 3.0 * t_rec, 60).reshape(5, 12)
+        for tau in (3.7, line, square):
+            got = correlation_function(kind, tau, p)
+            ref, total = correlation_reference(kind, tau, p)
+            assert np.shape(got) == np.shape(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * total
+        assert isinstance(correlation_function(kind, 3.7, p), complex)
+
+    def test_one_table_per_parameter_set(self):
+        base = params(M=200)
+        taus = np.linspace(0.0, 20.0, 9)
+        # differ from base only in beta, and only in M
+        for other in (params(M=200, n_omega0=0.5), params(M=201)):
+            for p in (base, other, base):
+                for kind in (1, 2):
+                    ref, total = correlation_reference(kind, taus, p)
+                    got = correlation_function(kind, taus, p)
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * total
+            assert not np.allclose(correlation_function(1, taus, other),
+                                   correlation_function(1, taus, base))
+        assert _bath_table(1, params(M=200)) is _bath_table(1, base)
+        for arr in _bath_table(1, base) + _bath_table(2, base):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_periodicity(self):
         p = params(M=50)
         taus = np.array([0.0, 1.3, 7.7, 40.0])
@@ -196,6 +250,32 @@ class TestMemoryTime:
         monkeypatch.setattr("oscpair.spectral.correlation_function", counting)
         assert memory_time(p) == 0.5 * (a + b)
         assert [n for n in scanned if n > 1] == [64, 128, 256]
+
+    @pytest.mark.parametrize("over", [{}, {"n_omega0": 0.01}, {"M": 1}],
+                             ids=["hot", "cold", "M1"])
+    def test_scan_blocks_equal_the_full_grid(self, over, monkeypatch):
+        # hot crosses in the first block, cold in the third; M = 1 never
+        # crosses, so its blocks must cover the whole grid up to T_rec/2
+        p = params(**over)
+        step = 1.0 / (20.0 * p.omega_c)
+        grid = np.arange(0.0, p.recurrence_time / 2.0 + step, step)
+        blocks = []
+
+        def recording(kind, tau, params):
+            if isinstance(tau, np.ndarray):
+                blocks.append(tau)
+            return correlation_function(kind, tau, params)
+
+        monkeypatch.setattr("oscpair.spectral.correlation_function", recording)
+        if over.get("M") == 1:
+            with pytest.raises(EstimationError, match="before T_rec/2"):
+                memory_time(p)
+        else:
+            memory_time(p)
+        scanned = np.concatenate(blocks)
+        assert np.array_equal(scanned, grid[:scanned.size])
+        if over.get("M") == 1:
+            assert scanned.size == grid.size
 
     def test_first_crossing_matches_dense_grid(self):
         # the cold sub-Ohmic bath crosses past the first three scan blocks (index > 448)
@@ -482,3 +562,30 @@ def test_memory_time_warns_above_a_quarter_of_the_recurrence_time():
         tau = memory_time(p)
     assert tau > p.recurrence_time / 4.0
     assert tau == pytest.approx(1.40, abs=0.01)
+
+
+WAKE_SCRIPT = """
+import time
+from oscpair import ModelParams, memory_time
+
+p = ModelParams(n_omega0=0.01)
+memory_time(p)
+time.sleep(0.5)
+memory_time(p)
+wall0, cpu0 = time.perf_counter(), time.process_time()
+while time.perf_counter() - wall0 < 0.05:
+    pass
+print((time.process_time() - cpu0) / (time.perf_counter() - wall0))
+"""
+
+
+def test_memory_time_leaves_no_blas_thread_spinning():
+    # process_time counts every thread of the process, so a BLAS worker left
+    # spinning by memory_time reads as CPU above wall over a single-threaded
+    # busy loop. A fresh interpreter, because this process may have woken the
+    # workers already; the sleep lets them park before the second call.
+    proc = subprocess.run([sys.executable, "-c", WAKE_SCRIPT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    ratio = float(proc.stdout.strip().splitlines()[-1])
+    assert ratio < 1.5
