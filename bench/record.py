@@ -38,8 +38,9 @@ A case run in a worker also records the worker's peak resident memory
 (``peak_rss_mb``, from ``getrusage``), which for a large case is the case's,
 and the process CPU seconds of each repeat (``cpu_s``, user + system time
 from ``getrusage`` around the repeat, with their median ``median_cpu_s``).
-The CPU time counts BLAS worker threads, so a repeat that leaves one
-spinning reads more CPU than wall time.
+The CPU time counts BLAS worker threads, so a thread woken in one repeat
+reads as CPU above wall time in that repeat and, while it spins on, in the
+repeats that follow.
 Machine, libraries, BLAS and its thread settings come from
 ``perfbench/provenance.py``.
 """
