@@ -14,6 +14,11 @@ a fresh worker process that imports ``oscpair`` from one tree only:
 - ``thermal_product_state`` and ``fidelity_truncated`` at cutoffs d = 14, 20, 40;
 - ``lindblad_propagate`` of the global scheme from the vacuum to t = 40
   (five output times) at d = 14, 20, 40;
+- the cold set-up of that scheme's generator at d = 14, 20, 40: ``fock._pattern``
+  plus ``fock._master_rhs`` with the ``fock`` caches cleared, timed, then
+  built once more under ``tracemalloc`` for its traced peak
+  (``traced_peak_mb``); its outputs are the right-hand side at a thermal
+  state's coordinates;
 - the work of ``oscpair verify --draws 3 --seed 3`` (``verify.run_suite``);
 - ``oscpair run --preset fig9b --oracle-verify on``;
 - ``memory_time`` at the fig5 and fig9b parameters and at the headline
@@ -59,6 +64,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -85,6 +91,7 @@ CASES = ([("exact_trajectory", m) for m in BATH_SIZES] + [("sweep_M", None)]
          + [("thermal_product_state", d) for d in CUTOFFS]
          + [("fidelity_truncated", d) for d in CUTOFFS]
          + [("lindblad_propagate", d) for d in CUTOFFS]
+         + [("generator_build", d) for d in CUTOFFS]
          + [("verify_draws3_seed3", None), ("run_fig9b_oracle", None)]
          + [(op, None) for op in MEMORY_TIME]
          + [(op, None) for op in FRESH])
@@ -95,13 +102,21 @@ def _moments(fock, state) -> list[float]:
     return [mom.n_plus, mom.n_minus, mom.cross.real, mom.cross.imag]
 
 
+def _global_scheme():
+    """The global scheme at PARAMS: the coarse-grained family at filter 0."""
+    from oscpair.moments import Scheme
+    from oscpair.params import ModelParams
+    from oscpair.spectral import dissipator_coefficients
+
+    return Scheme.coarse_grained(dissipator_coefficients(ModelParams(**PARAMS)), 0.0)
+
+
 def _run_case(op: str, size: int | None):
-    """Run one measurement in this process; returns (seconds, outputs)."""
+    """Run one measurement in this process; returns (seconds, outputs) or
+    (seconds, outputs, extra fields of the repeat's record)."""
     import numpy as np
     from oscpair import cli, exact_trajectory, fock, spectral, verify
     from oscpair.params import ModelParams
-    from oscpair.moments import Scheme
-    from oscpair.spectral import dissipator_coefficients
 
     if op == "exact_trajectory":
         params = ModelParams(**EXACT_PARAMS, M=size)
@@ -131,12 +146,28 @@ def _run_case(op: str, size: int | None):
         value = fock.fidelity_truncated(*states)
         return time.perf_counter() - start, [value]
     if op == "lindblad_propagate":
-        # the global scheme: the coarse-grained family at filter 0
-        scheme = Scheme.coarse_grained(dissipator_coefficients(ModelParams(**PARAMS)), 0.0)
+        scheme = _global_scheme()
         vacuum = fock.thermal_product_state(0.0, 0.0, size)
         start = time.perf_counter()
         states = fock.lindblad_propagate(scheme, vacuum, np.linspace(0.0, 40.0, 5))
         return time.perf_counter() - start, [x for st in states for x in _moments(fock, st)]
+    if op == "generator_build":
+        scheme = _global_scheme()
+        for cached in (fock._pattern, fock._layout):
+            cached.cache_clear()
+        start = time.perf_counter()
+        rhs = fock._master_rhs(scheme, size)
+        elapsed = time.perf_counter() - start
+        for cached in (fock._pattern, fock._layout):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            rhs = fock._master_rhs(scheme, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        coords = fock._coordinates(fock.thermal_product_state(*OCCUPATIONS[0], size).blocks)
+        return elapsed, rhs(0.0, coords).tolist(), {"traced_peak_mb": peak / 2**20}
     if op == "verify_draws3_seed3":
         start = time.perf_counter()
         reports = verify.run_suite(3, 3)
@@ -173,11 +204,11 @@ def _worker(src: str, op: str, size: int | None, repeats: int) -> None:
     for _ in range(repeats):
         cpu_start = _cpu_seconds()
         with contextlib.redirect_stdout(sys.stderr):  # stdout carries the records
-            seconds, outputs = _run_case(op, size)
+            seconds, outputs, *extra = _run_case(op, size)
         cpu_s = _cpu_seconds() - cpu_start
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(json.dumps({"seconds": seconds, "cpu_s": cpu_s, "outputs": outputs,
-                          "peak_rss_mb": peak_mb}), flush=True)
+                          "peak_rss_mb": peak_mb, **(extra[0] if extra else {})}), flush=True)
 
 
 def _cpu_seconds() -> float:
@@ -244,6 +275,8 @@ def _measure(src: Path, op: str, size: int | None, repeats: int, timeout: float)
         out["median_s"] = statistics.median(out["seconds"])
         out["median_cpu_s"] = statistics.median(out["cpu_s"])
         out["peak_rss_mb"] = max(r["peak_rss_mb"] for r in runs)
+    if runs and "traced_peak_mb" in runs[0]:
+        out["traced_peak_mb"] = [r["traced_peak_mb"] for r in runs]
     if code is None:
         out["timed_out_after_s"] = timeout
     elif code != 0:

@@ -34,8 +34,10 @@ drift is tridiagonal within a block and the gain and loss terms gather from
 blocks N∓1; a term's complex coefficient c acts on the real coordinates of its
 source entry through Re c and Im c. The groups' common sparsity pattern, with
 the value of Re c and of Im c of each ladder term on it, is built once per
-cutoff; a scheme only fills in the three data vectors. A right-hand side costs the
-O(d³) nonzeros of the generator, about 39 000 reals per group at d = 14, and
+cutoff (``_Pattern`` gives what it keeps and what its build peaks at); a scheme
+only fills in the three data vectors, and each group keeps the pattern entries
+where it is nonzero, about two thirds of them. A right-hand side costs the
+O(d³) nonzeros of the generator, about 27 000 reals per group at d = 14, and
 no dense product.
 """
 
@@ -129,7 +131,18 @@ class _Pattern:
     """The master-equation generator of cutoff d on the real coordinates of the
     block stack, as a CSR pattern shared by every scheme and phase group, and the
     value that the real and the imaginary part of the coefficient of each of the
-    24 ladder terms put on each pattern entry."""
+    24 ladder terms put on each pattern entry.
+
+    Kept once per cutoff: 39 352 entries and 75 868 term values, 1.18 MiB, at
+    d = 14, and 30.4 MiB at d = 40. The build works in one table of int32 keys
+    and float64 values, a cell per generator row and coefficient column, sorted
+    row by row; its traced peak, ``_layout`` included, is 2.2 times what it
+    keeps at d = 14 (2.6 MiB) and 2.0 times at d = 40 (60 MiB). Each phase
+    group of a scheme then keeps about two thirds of the entries (0.32 MiB for
+    the global scheme's one group at d = 14). Index arithmetic stays exact for
+    every cutoff: a key is generator column · 48 + coefficient column, in int32
+    up to d = 406 and int64 beyond, and no row · size + column index is formed,
+    which in int32 would overflow past d = 41."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -143,20 +156,14 @@ def _monomial(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, np.take_along_axis(ops, cols[..., None], axis=-1)[..., 0]
 
 
-@lru_cache(maxsize=8)
-def _pattern(d: int) -> _Pattern:
+def _ladder_terms(d: int, dtype) -> tuple[np.ndarray, ...]:
+    """The 24 ladder terms of the master equation on the upper-triangle entries
+    (N, i, j) of the block stack, as (term, entry) arrays: the value that each
+    term puts on out[N, i, j] from one source entry of ρ, the coordinates (of
+    ``dtype``) of Re and of Im of that entry's upper-triangle representative
+    (−1 for Im on the diagonal), and the sign of that Im."""
     lay = _layout(d)
     n_blocks, rows, cols = lay.upper
-    n_re, size = rows.size, rows.size + int(lay.off.sum())
-    # coordinate of Re and of Im of each stack entry's upper-triangle
-    # representative (−1 for Im on the diagonal), and the sign of that Im
-    re_at = np.zeros((2 * d - 1, d, d), dtype=np.int64)
-    re_at[n_blocks, rows, cols] = re_at[n_blocks, cols, rows] = np.arange(n_re)
-    im_at = np.full_like(re_at, -1)
-    im_at[n_blocks[lay.off], rows[lay.off], cols[lay.off]] = np.arange(n_re, size)
-    im_at[n_blocks[lay.off], cols[lay.off], rows[lay.off]] = np.arange(n_re, size)
-    sign = np.sign(np.arange(d)[None, :] - np.arange(d)[:, None])
-
     low = lay.ladder                       # x_m from block N into N−1
     low_next = np.zeros_like(low)
     low_next[:, :-1] = low[:, 1:]          # x_m from block N+1 into N
@@ -164,41 +171,83 @@ def _pattern(d: int) -> _Pattern:
     eye = np.eye(d) * np.diagonal(lay.mask, axis1=1, axis2=2)[:, :, None]
     # every term maps block N+shift to block N as ρ ↦ P ρ Q; each ladder is a
     # weighted partial permutation, so out[N, i, j] reads one entry of ρ per term
-    ops = []
+    monomials = []
     for m in range(2):
         for mp in range(2):
             hop = up[m] @ low[mp]                 # x_m†x_m' within block N
             back = low_next[mp] @ up_next[m]      # x_m'x_m† within block N
-            ops += [(hop, eye, 0), (back, eye, 0), (eye, hop, 0), (eye, back, 0),
-                    (up[m], low[mp], -1), (low_next[mp], up_next[m], 1)]
-    p_col, p_val = map(np.stack, zip(*(_monomial(p) for p, _, _ in ops)))
-    q_row, q_val = map(np.stack, zip(*(_monomial(q.swapaxes(-1, -2)) for _, q, _ in ops)))
-    shift = np.array([sh for _, _, sh in ops])
+            for p, q, shift in ((hop, eye, 0), (back, eye, 0), (eye, hop, 0), (eye, back, 0),
+                                (up[m], low[mp], -1), (low_next[mp], up_next[m], 1)):
+                monomials.append((*_monomial(p), *_monomial(q.swapaxes(-1, -2)), shift))
+    p_col, p_val, q_row, q_val, shift = map(np.stack, zip(*monomials))
     val = p_val[:, n_blocks, rows] * q_val[:, n_blocks, cols]
-    term, at = np.nonzero(val)
-    val, n_at = val[term, at], n_blocks[at]
-    src = ((n_at + shift[term]) * d + p_col[term, n_at, rows[at]]) * d + q_row[term, n_at, cols[at]]
+    src_row, src_col = p_col[:, n_blocks, rows], q_row[:, n_blocks, cols]
+    # clipped where N + shift leaves the stack, and the value is 0 there
+    src_block = np.clip(n_blocks + shift[:, None], 0, 2 * d - 2)
+    re_at = np.zeros((2 * d - 1, d, d), dtype=dtype)
+    re_at[n_blocks, rows, cols] = re_at[n_blocks, cols, rows] = np.arange(rows.size)
+    im_at = np.full_like(re_at, -1)
+    off = lay.off
+    im = np.arange(rows.size, rows.size + int(off.sum()))
+    im_at[n_blocks[off], rows[off], cols[off]] = im_at[n_blocks[off], cols[off], rows[off]] = im
+    src = ((src_block * d + src_row) * d + src_col).ravel()
+    return (val, re_at.ravel()[src].reshape(val.shape), im_at.ravel()[src].reshape(val.shape),
+            np.sign(src_col - src_row))
+
+
+@lru_cache(maxsize=8)
+def _pattern(d: int) -> _Pattern:
+    lay = _layout(d)
+    n_re, size = lay.off.size, lay.off.size + int(lay.off.sum())
+    n_cols = 48                           # Re c and Im c of each of the 24 ladder terms
+    # the narrowest exact index dtype: the record keys below reach n_cols·size,
+    # past the int32 range from d = 407 on
+    idx = np.int32 if n_cols * size < np.iinfo(np.int32).max else np.int64
+    val, re_src, im_src, sign = _ladder_terms(d, idx)
     # with the term's coefficient c' + ic'' and its source entry x' + isx'', x' and
     # x'' the coordinates of the representative, Re out = c'x' − sc''x'' and
-    # Im out = c''x' + sc'x''
-    re_src, im_src, s = re_at.ravel()[src], im_at.ravel()[src], sign.ravel()[src % (d * d)]
-    re_out, im_out = at, im_at[n_blocks[at], rows[at], cols[at]]
-    parts = []
-    for row, col, value, part in ((re_out, re_src, val, 0), (re_out, im_src, -s * val, 1),
-                                  (im_out, re_src, val, 1), (im_out, im_src, s * val, 0)):
-        ok = (row >= 0) & (col >= 0)
-        parts.append(((row * size + col)[ok], (2 * term + part)[ok], value[ok]))
-    # each (generator entry, coefficient column) pair occurs once: sort them by
-    # entry, and the terms matrix is CSR in that order. Each part ascends in the
-    # entry per term, and a stable (merge) sort joins those runs fastest.
-    entry, column, value = map(np.concatenate, zip(*parts))
-    order = np.argsort(entry * (2 * len(ops)) + column, kind="stable")
-    entry = entry[order]
-    starts = np.flatnonzero(np.diff(entry, prepend=-1))
-    terms = sparse.csr_matrix((value[order], column[order], np.append(starts, entry.size)),
-                              shape=(starts.size, 2 * len(ops)))
-    indptr = np.searchsorted(entry[starts], np.arange(size + 1) * size).astype(np.int32)
-    pattern = _Pattern(indptr, (entry[starts] % size).astype(np.int32), terms)
+    # Im out = c''x' + sc'x''. The records form a table with one row per generator
+    # row (the Re coordinates, then the Im ones) and one cell per coefficient
+    # column 2·term + (0 for c', 1 for c''); a cell's key is the generator
+    # column times n_cols plus its coefficient column, ``missing`` on no record.
+    missing = n_cols * size
+    keys = np.full((size, n_cols // 2, 2), missing, dtype=idx)
+    values = np.zeros((size, n_cols // 2, 2))
+    column = np.arange(n_cols, dtype=idx).reshape(-1, 2, 1)
+    off = lay.off
+    for out, part, src, value in ((slice(0, n_re), 0, re_src, val),
+                                  (slice(0, n_re), 1, im_src, -sign * val),
+                                  (slice(n_re, size), 1, re_src[:, off], val[:, off]),
+                                  (slice(n_re, size), 0, im_src[:, off], (sign * val)[:, off])):
+        keys[out, :, part] = np.where((value != 0) & (src >= 0),
+                                      src * n_cols + column[:, part], missing).T
+        values[out, :, part] = value.T
+    del val, re_src, im_src, sign
+    # each (generator entry, coefficient column) pair occurs once: sorting the
+    # keys of each row orders its records by entry, with the missing cells last,
+    # and the terms matrix is CSR in that order
+    keys, values = keys.reshape(size, n_cols), values.reshape(size, n_cols)
+    keys.sort(axis=1)
+    values = np.take_along_axis(values, keys % n_cols, axis=1)
+    valid = keys != missing
+    row_start = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(valid.sum(axis=1), out=row_start[1:])
+    data = values[valid]
+    del values
+    coef_col = keys[valid]
+    del keys, valid
+    gen_col = coef_col // n_cols
+    coef_col -= gen_col * n_cols
+    # a pattern entry starts at each record whose generator column differs
+    # from the one before it in the same row
+    first = np.ones(coef_col.size, dtype=bool)
+    np.not_equal(gen_col[1:], gen_col[:-1], out=first[1:])
+    first[row_start[:-1][np.diff(row_start) > 0]] = True
+    starts = np.flatnonzero(first)
+    del first
+    terms = sparse.csr_matrix((data, coef_col, np.append(starts, coef_col.size).astype(idx)),
+                              shape=(starts.size, n_cols))
+    pattern = _Pattern(np.searchsorted(starts, row_start).astype(idx), gen_col[starts], terms)
     for arr in (pattern.indptr, pattern.indices):
         arr.setflags(write=False)
     return pattern
@@ -220,18 +269,26 @@ def _coefficients(scheme: Scheme) -> np.ndarray:
     return np.stack([coeffs.real, coeffs.imag], axis=-1).reshape(3, -1)
 
 
+def _phase_group(pattern: _Pattern, coeffs: np.ndarray) -> sparse.csr_matrix:
+    """The generator of one phase group with real coefficients ``coeffs`` (48,)
+    of ``_pattern``, on the pattern entries where it is nonzero: a scheme leaves
+    about a third of the pattern, and the global scheme all of the phased
+    groups, at 0."""
+    values = pattern.terms @ coeffs
+    kept = np.flatnonzero(values != 0)
+    values = values[kept]
+    indptr = np.searchsorted(kept, pattern.indptr).astype(pattern.indptr.dtype)
+    size = indptr.size - 1
+    return sparse.csr_matrix((values, pattern.indices[kept], indptr), shape=(size, size))
+
+
 def _master_rhs(scheme: Scheme, d: int):
     """Right-hand side of the interaction-picture master equation on the real
     coordinates of the block stack of cutoff d: (L₀ + cos(Δt)L_c + sin(Δt)L_s)y
     with Δ = ω₊ − ω₋."""
     pattern = _pattern(d)
-    size = pattern.indptr.size - 1
-    data = (pattern.terms @ _coefficients(scheme).T).T
-    l0, l_c, l_s = (sparse.csr_matrix((vals, pattern.indices, pattern.indptr),
-                                      shape=(size, size), copy=True) for vals in data)
-    for mat in (l0, l_c, l_s):  # a scheme leaves about a third of the pattern at 0
-        mat.eliminate_zeros()
-    if not data[1:].any():  # diagonal u, w and h (the global scheme): no phased terms
+    l0, l_c, l_s = (_phase_group(pattern, coeffs) for coeffs in _coefficients(scheme))
+    if not (l_c.nnz or l_s.nnz):  # diagonal u, w and h (the global scheme): no phased terms
         return lambda t, y: l0 @ y
     gap = float(scheme.omegas[0]) - float(scheme.omegas[1])
 
@@ -298,10 +355,14 @@ def thermal_product_state(n_plus: float, n_minus: float, d: int,
     mode matrix [[n₊, cross], [cross*, n₋]] and eigenvalues θ = ln(1+1/ν) of
     its eigenvalues ν, through a batched eigen decomposition of the blocks;
     this degrades gracefully to the vacuum as ν → 0. Requires the geometric
-    tail (ν/(ν+1))^d of each eigenmode below 1e−8.
+    tail (ν/(ν+1))^d of each eigenmode below 1e−8 (else ``CutoffError``);
+    negative or non-finite occupations and a non-finite ``cross`` raise
+    ``DomainError``.
     """
     if d < 2:
         raise DomainError("cutoff must be at least 2")
+    if not np.isfinite([n_plus, n_minus, cross]).all():
+        raise DomainError("occupations and cross must be finite")
     if n_plus < 0.0 or n_minus < 0.0:
         raise DomainError("occupations must be >= 0")
     mode = np.array([[n_plus, cross], [np.conj(cross), n_minus]])

@@ -1,11 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from oscpair import (DomainError, ModelParams, MomentState, cp_threshold, exact_trajectory,
                      propagate)
+from oscpair import fock
 from oscpair.fock import (TruncatedState, _coordinates, _from_coordinates, _master_rhs,
-                          boundary_population, fidelity_truncated, lindblad_propagate,
-                          number_expectations, thermal_product_state)
+                          _pattern, boundary_population, fidelity_truncated,
+                          lindblad_propagate, number_expectations, thermal_product_state)
 from oscpair.runner import SchemeRunner, parse_scheme
 from oscpair.verify import draw_case, run_suite
 
@@ -80,17 +85,19 @@ def random_hermitian_stack(d, seed):
     return rho, to_blocks(rho, d)
 
 
+@pytest.mark.parametrize("d", [2, 3, 6])
 @pytest.mark.parametrize("name", ["local", "global", "cg_redfield"])
-def test_generator_matches_dense_rhs(name, params):
+def test_generator_matches_dense_rhs(name, d, params):
     """The sparse right-hand side on the coordinates of a random Hermitian block
     stack, without the integrator.
 
     local and the filtered Redfield scheme have off-diagonal (u, w, h), so they
-    exercise the ladder-product order and the phase group of every term."""
+    exercise the ladder-product order and the phase group of every term. At
+    d = 2 and 3 every block holds one or two states, and every state sits next
+    to an edge of the cutoff."""
     if name == "cg_redfield":
         name = f"cg_redfield:{0.5 * cp_threshold(params).bound!r}"
     scheme = SchemeRunner(params, TIMES).equation(name)
-    d = 6
     rho, blocks = random_hermitian_stack(d, 6)
     block, _ = block_slots(d)
     stored = to_blocks((block[:, None] == block[None, :]).astype(float), d) != 0.0
@@ -101,6 +108,72 @@ def test_generator_matches_dense_rhs(name, params):
         assert np.abs(to_dense(out) - expect).max() <= 1e-13 * np.abs(expect).max()
         assert not np.any(out[~stored])
         assert abs(np.trace(out, axis1=1, axis2=2).sum()) <= 1e-13 * np.abs(out).max()
+
+
+def assert_sorted_rows(indptr, indices, n_cols):
+    """Strictly increasing column indices in [0, n_cols) within every CSR row."""
+    assert indptr[0] == 0 and np.all(np.diff(indptr) >= 0) and indptr[-1] == indices.size
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    assert np.all(np.diff(indices)[rows[1:] == rows[:-1]] > 0)
+    assert indices.min() >= 0 and indices.max() < n_cols
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_pattern_is_canonical_csr(d):
+    """Sorted, duplicate-free columns in every row of the generator pattern and
+    of its terms matrix, one nonempty terms row per pattern entry, and no
+    explicit zeros."""
+    pattern = _pattern(d)
+    size = d * (2 * d * d + 1) // 3
+    assert pattern.indptr.size == size + 1
+    assert_sorted_rows(pattern.indptr, pattern.indices, size)
+    terms = pattern.terms
+    assert terms.shape == (pattern.indices.size, 48)
+    assert_sorted_rows(terms.indptr, terms.indices, 48)
+    assert np.diff(terms.indptr).min() >= 1
+    assert np.all(terms.data != 0)
+
+
+def _arrays_nbytes(*arrays) -> int:
+    return sum(arr.nbytes for arr in arrays)
+
+
+def test_pattern_build_peak_memory():
+    """A cold ``_pattern(14)`` works in little more than the arrays it keeps: the
+    records are sorted per generator row in int32 keys, not as a 64-bit argsort
+    over all of them (7.3 times the kept bytes before)."""
+    fock._pattern.cache_clear()
+    fock._layout.cache_clear()
+    tracemalloc.start()
+    try:
+        pattern = _pattern(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = pattern.terms
+    kept = _arrays_nbytes(pattern.indptr, pattern.indices, terms.data, terms.indices,
+                          terms.indptr)
+    assert peak <= 3.5 * kept
+
+
+def test_master_rhs_peak_memory(params):
+    """The global scheme's right-hand side keeps one phase group, built from the
+    pattern entries where it is nonzero without full-size copies (7.2 times the
+    kept bytes before)."""
+    scheme = SchemeRunner(params, TIMES).equation("global")
+    fock._pattern.cache_clear()
+    _pattern(14)
+    tracemalloc.start()
+    try:
+        rhs = _master_rhs(scheme, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mats = [cell.cell_contents for cell in rhs.__closure__
+            if sparse.issparse(cell.cell_contents)]
+    assert len(mats) == 1
+    kept = _arrays_nbytes(*(arr for mat in mats for arr in (mat.data, mat.indices, mat.indptr)))
+    assert peak <= 3 * kept
 
 
 @pytest.mark.parametrize(("d", "size"), [(2, 6), (6, 146), (14, 1834)])
@@ -199,6 +272,16 @@ def test_every_route_leaves_the_callers_grid_writable(params):
     runner = SchemeRunner(params, t := TIMES.copy())
     t[1] = 0.5
     assert np.array_equal(runner.times, TIMES)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["n_plus", "n_minus", "cross"])
+def test_constructor_rejects_non_finite_moments(which, value):
+    # a NaN or +inf occupation used to give a normalized but wrong state, and a
+    # non-finite cross numpy's LinAlgError
+    moments = {"n_plus": 0.05, "n_minus": 0.03, "cross": 0j, which: value}
+    with pytest.raises(DomainError):
+        thermal_product_state(moments["n_plus"], moments["n_minus"], 8, moments["cross"])
 
 
 def test_constructor_rejects_cross_beyond_uncertainty():
