@@ -17,8 +17,8 @@ a fresh worker process that imports ``oscpair`` from one tree only:
 - the cold set-up of that scheme's generator at d = 14, 20, 40: ``fock._pattern``
   plus ``fock._master_rhs`` with the ``fock`` caches cleared, timed, then
   built once more under ``tracemalloc`` for its traced peak
-  (``traced_peak_mb``); its outputs are the right-hand side at a thermal
-  state's coordinates;
+  (``traced_peak_mb``, in units of 2**20 bytes like ``peak_rss_mb``); its
+  outputs are the right-hand side at a thermal state's coordinates;
 - the work of ``oscpair verify --draws 3 --seed 3`` (``verify.run_suite``);
 - ``oscpair run --preset fig9b --oracle-verify on``;
 - ``memory_time`` at the fig5 and fig9b parameters and at the headline

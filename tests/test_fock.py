@@ -85,29 +85,29 @@ def random_hermitian_stack(d, seed):
     return rho, to_blocks(rho, d)
 
 
-@pytest.mark.parametrize("d", [2, 3, 6])
 @pytest.mark.parametrize("name", ["local", "global", "cg_redfield"])
-def test_generator_matches_dense_rhs(name, d, params):
+def test_generator_matches_dense_rhs(name, params):
     """The sparse right-hand side on the coordinates of a random Hermitian block
     stack, without the integrator.
 
     local and the filtered Redfield scheme have off-diagonal (u, w, h), so they
     exercise the ladder-product order and the phase group of every term. At
     d = 2 and 3 every block holds one or two states, and every state sits next
-    to an edge of the cutoff."""
+    to an edge of the cutoff. The cutoffs are a loop, so the test ids stay."""
     if name == "cg_redfield":
         name = f"cg_redfield:{0.5 * cp_threshold(params).bound!r}"
     scheme = SchemeRunner(params, TIMES).equation(name)
-    rho, blocks = random_hermitian_stack(d, 6)
-    block, _ = block_slots(d)
-    stored = to_blocks((block[:, None] == block[None, :]).astype(float), d) != 0.0
-    rhs, ref = _master_rhs(scheme, d), dense_rhs(scheme, d)
-    for t in (0.0, 0.7, 13.1):
-        out = _from_coordinates(rhs(t, _coordinates(blocks)), d)
-        expect = ref(t, rho.ravel()).reshape(rho.shape)
-        assert np.abs(to_dense(out) - expect).max() <= 1e-13 * np.abs(expect).max()
-        assert not np.any(out[~stored])
-        assert abs(np.trace(out, axis1=1, axis2=2).sum()) <= 1e-13 * np.abs(out).max()
+    for d in (2, 3, 6):
+        rho, blocks = random_hermitian_stack(d, 6)
+        block, _ = block_slots(d)
+        stored = to_blocks((block[:, None] == block[None, :]).astype(float), d) != 0.0
+        rhs, ref = _master_rhs(scheme, d), dense_rhs(scheme, d)
+        for t in (0.0, 0.7, 13.1):
+            out = _from_coordinates(rhs(t, _coordinates(blocks)), d)
+            expect = ref(t, rho.ravel()).reshape(rho.shape)
+            assert np.abs(to_dense(out) - expect).max() <= 1e-13 * np.abs(expect).max(), d
+            assert not np.any(out[~stored]), d
+            assert abs(np.trace(out, axis1=1, axis2=2).sum()) <= 1e-13 * np.abs(out).max(), d
 
 
 def assert_sorted_rows(indptr, indices, n_cols):
@@ -139,9 +139,9 @@ def _arrays_nbytes(*arrays) -> int:
 
 
 def test_pattern_build_peak_memory():
-    """A cold ``_pattern(14)`` works in little more than the arrays it keeps: the
-    records are sorted per generator row in int32 keys, not as a 64-bit argsort
-    over all of them (7.3 times the kept bytes before)."""
+    """A cold ``_pattern(14)`` works in little more than the arrays it keeps
+    (2.2 times their bytes): its records are sorted per generator row in int32
+    keys, with no 64-bit sort over all of them."""
     fock._pattern.cache_clear()
     fock._layout.cache_clear()
     tracemalloc.start()
@@ -158,8 +158,8 @@ def test_pattern_build_peak_memory():
 
 def test_master_rhs_peak_memory(params):
     """The global scheme's right-hand side keeps one phase group, built from the
-    pattern entries where it is nonzero without full-size copies (7.2 times the
-    kept bytes before)."""
+    pattern entries where it is nonzero with no full-size copy of the pattern
+    (2.3 times the kept bytes)."""
     scheme = SchemeRunner(params, TIMES).equation("global")
     fock._pattern.cache_clear()
     _pattern(14)
@@ -277,8 +277,8 @@ def test_every_route_leaves_the_callers_grid_writable(params):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("which", ["n_plus", "n_minus", "cross"])
 def test_constructor_rejects_non_finite_moments(which, value):
-    # a NaN or +inf occupation used to give a normalized but wrong state, and a
-    # non-finite cross numpy's LinAlgError
+    # unchecked, a NaN or +inf occupation gives a normalized but wrong state,
+    # and a non-finite cross numpy's LinAlgError
     moments = {"n_plus": 0.05, "n_minus": 0.03, "cross": 0j, which: value}
     with pytest.raises(DomainError):
         thermal_product_state(moments["n_plus"], moments["n_minus"], 8, moments["cross"])
