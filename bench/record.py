@@ -9,11 +9,17 @@ a fresh worker process that imports ``oscpair`` from one tree only:
 
 - ``exact_trajectory`` at the headline parameters (fig4) with M = 50, 100,
   200, 400, 800, 1600, 4000 and 16000 on the 1501-point grid 0:300;
+- ``exact_trajectory`` on coarse grids, where an expansion has fewer times
+  than half its terms: M = 800, 4000 and 16000 on the 101-point grid 0:300
+  (``exact_grid101``), and M = 400 on the 301-point grid 0:30000, about 50
+  restarted expansions (``exact_t30000``); each is timed, then run once more
+  under ``tracemalloc`` for its traced peak (``traced_peak_mb``);
 - ``oscpair sweep --axis M --values 100,200,400,800`` with the exact, global,
   local and mixture schemes on 101 points (the benchmark's ``bath_sweep``);
 - ``thermal_product_state`` and ``fidelity_truncated`` at cutoffs d = 14, 20, 40;
 - ``lindblad_propagate`` of the global scheme from the vacuum to t = 40
-  (five output times) at d = 14, 20, 40;
+  (five output times) at d = 14, 20, 40, timed, then run once more under
+  ``tracemalloc`` with the generator cached for its traced peak;
 - the cold set-up of that scheme's generator at d = 14, 20, 40: ``fock._pattern``
   plus ``fock._master_rhs`` with the ``fock`` caches cleared, timed, then
   built once more under ``tracemalloc`` for its traced peak
@@ -72,6 +78,8 @@ CUTOFFS = (14, 20, 40)
 BATH_SIZES = (50, 100, 200, 400, 800, 1600, 4000, 16000)
 #: the headline parameters (fig4) at which exact_trajectory is timed
 EXACT_PARAMS = dict(n_omega0=10.0, g=0.3, kappa0=0.04, omega_c=3.0, alpha=1.0)
+#: coarse-grid exact cases: op -> (t_max, points) of the grid 0:t_max
+COARSE = {"exact_grid101": (300.0, 101), "exact_t30000": (30000.0, 301)}
 SWEEP_ARGV = ["sweep", "--axis", "M", "--values", "100,200,400,800",
               "--set", "schemes=exact,global,local,mixture", "--grid", "0:300:101:lin"]
 MAX_STORED = 64
@@ -87,7 +95,9 @@ FRESH = {"fresh_import": None,
          "fresh_fidelity_fig6": ["fidelity", "--preset", "fig6"],
          "fresh_run_fig5": ["run", "--preset", "fig5"],
          "fresh_run_fig7": ["run", "--preset", "fig7"]}
-CASES = ([("exact_trajectory", m) for m in BATH_SIZES] + [("sweep_M", None)]
+CASES = ([("exact_trajectory", m) for m in BATH_SIZES]
+         + [("exact_grid101", m) for m in (800, 4000, 16000)] + [("exact_t30000", 400)]
+         + [("sweep_M", None)]
          + [("thermal_product_state", d) for d in CUTOFFS]
          + [("fidelity_truncated", d) for d in CUTOFFS]
          + [("lindblad_propagate", d) for d in CUTOFFS]
@@ -111,6 +121,16 @@ def _global_scheme():
     return Scheme.coarse_grained(dissipator_coefficients(ModelParams(**PARAMS)), 0.0)
 
 
+def _traced_peak_mb(call) -> float:
+    """Traced peak of one call, in units of 2**20 bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _run_case(op: str, size: int | None):
     """Run one measurement in this process; returns (seconds, outputs) or
     (seconds, outputs, extra fields of the repeat's record)."""
@@ -118,15 +138,17 @@ def _run_case(op: str, size: int | None):
     from oscpair import cli, exact_trajectory, fock, spectral, verify
     from oscpair.params import ModelParams
 
-    if op == "exact_trajectory":
+    if op == "exact_trajectory" or op in COARSE:
         params = ModelParams(**EXACT_PARAMS, M=size)
-        times = np.linspace(0.0, 300.0, 1501)
+        times = np.linspace(0.0, *COARSE.get(op, (300.0, 1501)))
         start = time.perf_counter()
         run = exact_trajectory(params, times)
         elapsed = time.perf_counter() - start
         traj = run.trajectory
         columns = [traj.n_plus, traj.n_minus, traj.cross.real, traj.cross.imag, *run.energies.T]
-        return elapsed, np.concatenate(columns).tolist()
+        extra = ({"traced_peak_mb": _traced_peak_mb(lambda: exact_trajectory(params, times))}
+                 if op in COARSE else {})
+        return elapsed, np.concatenate(columns).tolist(), extra
     if op == "sweep_M":
         with tempfile.TemporaryDirectory() as out:
             start = time.perf_counter()
@@ -148,9 +170,13 @@ def _run_case(op: str, size: int | None):
     if op == "lindblad_propagate":
         scheme = _global_scheme()
         vacuum = fock.thermal_product_state(0.0, 0.0, size)
+        times = np.linspace(0.0, 40.0, 5)
         start = time.perf_counter()
-        states = fock.lindblad_propagate(scheme, vacuum, np.linspace(0.0, 40.0, 5))
-        return time.perf_counter() - start, [x for st in states for x in _moments(fock, st)]
+        states = fock.lindblad_propagate(scheme, vacuum, times)
+        elapsed = time.perf_counter() - start
+        peak = _traced_peak_mb(lambda: fock.lindblad_propagate(scheme, vacuum, times))
+        return (elapsed, [x for st in states for x in _moments(fock, st)],
+                {"traced_peak_mb": peak})
     if op == "generator_build":
         scheme = _global_scheme()
         for cached in (fock._pattern, fock._layout):
@@ -160,14 +186,9 @@ def _run_case(op: str, size: int | None):
         elapsed = time.perf_counter() - start
         for cached in (fock._pattern, fock._layout):
             cached.cache_clear()
-        tracemalloc.start()
-        try:
-            rhs = fock._master_rhs(scheme, size)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak_mb(lambda: fock._master_rhs(scheme, size))
         coords = fock._coordinates(fock.thermal_product_state(*OCCUPATIONS[0], size).blocks)
-        return elapsed, rhs(0.0, coords).tolist(), {"traced_peak_mb": peak / 2**20}
+        return elapsed, rhs(0.0, coords).tolist(), {"traced_peak_mb": peak}
     if op == "verify_draws3_seed3":
         start = time.perf_counter()
         reports = verify.run_suite(3, 3)

@@ -19,6 +19,14 @@ one expansion every time point is independent (no stepping error); a longer
 horizon restarts the expansion every _TERMS terms. At t = 0 only J_0 is
 nonzero, so the t = 0 output is the initial state exactly.
 
+The amplitudes are one product, (Bessel weights)ᵀ · (vectors), per parity of
+n, blocked along its smaller side. An expansion over at least half as many
+times as terms keeps all N vectors and takes the times a block at a time; one
+over fewer times runs the recurrence a chunk of terms at a time and adds each
+chunk into amplitudes held for all its times. Either way an expansion holds
+O(min(T, N)·M) values, not O(N·M): a coarse grid over a long horizon costs
+memory by its points.
+
 :func:`build_full_model` assembles the same model on the 2M+4 canonical
 coordinates and diagonalizes 𝓜 = iΩℋ. No output of the program goes through
 it; it stays here because the benchmark's tracer (``perfbench/tracing.py``)
@@ -114,15 +122,16 @@ class ExactRun(NamedTuple):
     energies: np.ndarray
 
 
-#: Chebyshev terms of one expansion. Later times restart the expansion from
-#: ψ at the end of its reach, so memory stays O(_TERMS·M) whatever t_max is;
-#: the presets' horizon (r·t_max ≈ 450, 547 terms) fits in one expansion.
+#: Chebyshev terms of one expansion at most. Later times restart the expansion
+#: from ψ at the end of its reach, so no expansion needs more whatever t_max
+#: is; the presets' horizon (r·t_max ≈ 450, 547 terms) fits in one expansion.
 _TERMS = 1024
 #: e^{−_TAIL} ≈ 1e-18 bounds every Bessel value J_n(x) dropped past the order
 #: that :func:`_bessel_order` gives, so the dropped terms move no output
 _TAIL = 41.5
-#: values per block of times, in its Bessel table and its amplitudes: a block
-#: holds about this many (4 MB), and at least 64 times
+#: values per block of times of an expansion that keeps all its vectors, in
+#: the block's Bessel table and amplitudes: a block holds about this many
+#: (4 MB), and at least 64 times
 _BLOCK_VALUES = 2**19
 
 
@@ -234,59 +243,85 @@ def _spectral_interval(params: ModelParams, omega_k: np.ndarray,
     return 0.5 * (bottom + top), 0.5 * (top - bottom) * (1.0 + 1e-12)
 
 
-def _chebyshev_tables(start: np.ndarray, diag2: np.ndarray, arm2: np.ndarray,
-                      count: int) -> tuple[np.ndarray, np.ndarray]:
-    """T_n(ĥ)·start for n < count: (even n, odd n) tables of shape (·, s, M+2).
+def _chebyshev_chunks(start: np.ndarray, diag2: np.ndarray, arm2: np.ndarray,
+                      count: int, size: int):
+    """T_n(ĥ)·start for n < count, ``size`` terms at a time.
 
+    Yields (lo, (even, odd)) per chunk of terms lo ≤ n < lo + size: tables of
+    shape (·, s, M+2) whose rows are the chunk's even and odd n in order (the
+    last chunk fills only their first rows). The same two tables are
+    refilled for every chunk, so ``size`` is either even and at least 4 (the
+    last two terms of a chunk start the next) or at least ``count`` (one chunk).
     ``start`` holds the s start vectors as rows. The arrowhead 2ĥ is
     diag(``diag2``) + u e_Aᵀ + e_A uᵀ with u = ``arm2`` (u_A = 0), so each
     step of T_{n+1} = 2ĥT_n − T_{n−1} is one product with that diagonal and
     two with the rank-2 part.
     """
     s, n = start.shape
-    tables = (np.empty(((count + 1) // 2, s, n)), np.empty((count // 2, s, n)))
-    tables[0][0] = start
-    # T_0, T_1, T_2, … as views into the two tables
-    steps = [table for pair in zip(*tables) for table in pair] + list(tables[0][count // 2:])
+    tables = (np.empty(((size + 1) // 2, s, n)), np.empty((size // 2, s, n)))
+    # the chunk's terms in order, as views into the two tables
+    steps = [table for pair in zip(*tables) for table in pair] + list(tables[0][size // 2:])
     left = np.zeros((n, 2))
     left[:, 0], left[0, 1] = arm2, 1.0
     right = left[:, ::-1].T.copy()
-    for k in range(1, count):
-        cur, out = steps[k - 1], steps[k]
-        np.multiply(cur, diag2, out=out)
-        if k == 1:
-            out += (cur @ left) @ right
-            out *= 0.5
+    for lo in range(0, count, size):
+        if lo == 0:
+            tables[0][0] = start
+            seq = steps[:count]
         else:
-            out -= steps[k - 2]
-            out += (cur @ left) @ right
-    return tables
+            seq = steps[size - 2:] + steps[:count - lo]
+        for k in range(1 if lo == 0 else 2, len(seq)):
+            cur, out = seq[k - 1], seq[k]
+            np.multiply(cur, diag2, out=out)
+            if k == 1:
+                out += (cur @ left) @ right
+                out *= 0.5
+            else:
+                out -= seq[k - 2]
+                out += (cur @ left) @ right
+        yield lo, tables
+
+
+def _coefficients(jn: np.ndarray) -> np.ndarray:
+    """The Bessel table ``jn`` (rows n, columns t) made into the real weights
+    of the even and odd terms, in place.
+
+    With the phase e^{−ict} dropped, c_n = (2 − δ_n0)(−i)^n J_n is real for
+    even n and imaginary for odd n: Re c_n = 2(−1)^{n/2} J_n for even n > 0
+    and Im c_n = −2(−1)^{(n−1)/2} J_n for odd n.
+    """
+    jn[1:] *= 2.0
+    jn[1::4] *= -1.0
+    jn[2::4] *= -1.0
+    return jn
+
+
+def _combine(re: np.ndarray, im: np.ndarray):
+    """Re ψ and Im ψ of ψ_A, ψ_B from the even sums ``re`` and odd sums ``im``
+    of the s start vectors, shape (len(t), s, M+2) each (overwritten).
+
+    With s = 4 the start vectors are (Re, Im) of ψ at a restart, ψ = u + iv,
+    and e^{−iĥx}(u + iv) has Re = E(u) − O(v) and Im = O(u) + E(v), E and O
+    being the even and odd sums.
+    """
+    if re.shape[1] == 4:
+        re[:, :2] -= im[:, 2:]
+        im[:, :2] += re[:, 2:]
+    return re[:, :2], im[:, :2]
 
 
 def _amplitudes(jn: np.ndarray, tables: tuple[np.ndarray, np.ndarray]):
     """Re ψ and Im ψ of ψ_A, ψ_B, shape (len(t), 2, M+2), from the Bessel table
-    ``jn`` (rows n, columns t; overwritten) and the Chebyshev tables of the
-    s start vectors.
-
-    With the phase e^{−ict} dropped, c_n = (2 − δ_n0)(−i)^n J_n is real for
-    even n and imaginary for odd n: one real product per parity. With s = 4
-    the start vectors are (Re, Im) of ψ at a restart, ψ = u + iv, and
-    e^{−iĥx}(u + iv) has Re = E(u) − O(v) and Im = O(u) + E(v), E and O being
-    the even and odd sums.
+    ``jn`` (rows n, columns t; overwritten) and the whole Chebyshev tables of
+    the s start vectors: one real product per parity.
     """
     even, odd = tables
     s, n = even.shape[1:]
     ne, no = (jn.shape[0] + 1) // 2, jn.shape[0] // 2
-    jn[1:] *= 2.0
-    # Re c_n = 2(−1)^{n/2} for even n > 0, Im c_n = −2(−1)^{(n−1)/2} for odd n
-    jn[1::4] *= -1.0
-    jn[2::4] *= -1.0
+    _coefficients(jn)
     re = (jn[0::2].T @ even[:ne].reshape(ne, s * n)).reshape(-1, s, n)
     im = (jn[1::2].T @ odd[:no].reshape(no, s * n)).reshape(-1, s, n)
-    if s == 4:
-        re[:, :2] -= im[:, 2:]
-        im[:, :2] += re[:, 2:]
-    return re[:, :2], im[:, :2]
+    return _combine(re, im)
 
 
 def _block_sums(re: np.ndarray, im: np.ndarray, detune: np.ndarray,
@@ -317,15 +352,29 @@ def _expand(start: np.ndarray, x: np.ndarray, diag2: np.ndarray, arm2: np.ndarra
     """One Chebyshev expansion from the start vectors, at the scaled times x = r·t.
 
     Returns the :func:`_block_sums` of every x (columns) and (Re ψ, Im ψ) of
-    ψ_A, ψ_B at the last x. ``bath`` is (√N_k, ω_k − ω0, √N_k γ_k). The
-    tables are built once, and their bath columns weighted by √N_k once ψ at
-    the last x is read off; each block of x then costs two real matrix
-    products (:func:`_amplitudes`) and O(M) sums per time.
+    ψ_A, ψ_B at the last x. ``bath`` is (√N_k, ω_k − ω0, √N_k γ_k).
+
+    With N terms and T = len(x), the blocking follows the sizes alone:
+
+    - T ≥ N/2: the N vectors of the s start vectors are built once and their
+      bath columns weighted by √N_k once ψ at the last x is read off; each
+      block of x then costs two real matrix products (:func:`_amplitudes`)
+      and O(M) sums per time. Memory: N·s·(M+2) values plus one block.
+    - T < N/2: :func:`_stream` sums Re ψ and Im ψ at every x over chunks of
+      terms; ψ at the last x is read off before their bath columns are
+      weighted. Memory: about 3T·s·(M+2) values for the sums and one
+      product, a chunk of at most 2(T + 1) terms, and the N × T Bessel table.
     """
     root, detune, coupling = bath
     order = _bessel_order(x)
     count = int(order.max()) + 1
-    tables = _chebyshev_tables(start, diag2, arm2, count)
+    if 2 * x.size < count:
+        re, im = _stream(start, x, order, diag2, arm2)
+        last = re[-1].copy(), im[-1].copy()
+        re[:, :, 2:] *= root
+        im[:, :, 2:] *= root
+        return _block_sums(re, im, detune, coupling), last
+    (_, tables), = _chebyshev_chunks(start, diag2, arm2, count, count)
     sums = np.empty((6, x.size))
     size = max(64, _BLOCK_VALUES // (count + 2 * start.size))
     blocks = [slice(lo, min(lo + size, x.size)) for lo in range(0, x.size, size)]
@@ -338,6 +387,36 @@ def _expand(start: np.ndarray, x: np.ndarray, diag2: np.ndarray, arm2: np.ndarra
         sums[:, blk] = _block_sums(*_amplitudes(jn, tables), detune, coupling)
         del jn      # before the next block's table is built
     return sums, last
+
+
+def _stream(start: np.ndarray, x: np.ndarray, order: np.ndarray, diag2: np.ndarray,
+            arm2: np.ndarray):
+    """Re ψ and Im ψ of ψ_A, ψ_B at every x, shape (len(x), 2, M+2), one chunk
+    of terms at a time.
+
+    Each chunk's even and odd terms meet the Bessel weights of every x in one
+    real product per parity, added into that parity's sums, len(x)·s·(M+2)
+    values each. A chunk holds one term per 2**12 of those values, raised to
+    16 and then capped at 2(len(x) + 1): each add then costs about 2**12
+    values per term whatever the grid and M, and a chunk is never much larger
+    than the two sums.
+    """
+    s, n = start.shape
+    count = int(order.max()) + 1
+    jn = _coefficients(_bessel_table(x, order))
+    size = min(count, 2 * min(max(8, x.size * start.size >> 13), x.size + 1))
+    sums = np.empty((x.size, s * n)), np.empty((x.size, s * n))
+    product = np.empty((x.size, s * n))
+    for lo, tables in _chebyshev_chunks(start, diag2, arm2, count, size):
+        for weights, table, acc in zip((jn[0::2].T, jn[1::2].T), tables, sums):
+            weights = weights[:, lo // 2:lo // 2 + size // 2]
+            flat = table[:weights.shape[1]].reshape(weights.shape[1], s * n)
+            if lo == 0:
+                np.matmul(weights, flat, out=acc)
+            elif weights.shape[1]:
+                np.matmul(weights, flat, out=product)
+                acc += product
+    return _combine(*(acc.reshape(-1, s, n) for acc in sums))
 
 
 def exact_trajectory(params: ModelParams, times) -> ExactRun:

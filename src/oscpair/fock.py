@@ -418,7 +418,7 @@ def lindblad_propagate(scheme: Scheme, rho0: TruncatedState, times) -> list[Trun
                         first_step=None if step is None else min(step, t1 - t0))
         if not sol.success:
             raise CutoffError(f"master-equation integration failed: {sol.message}")
-        ys.append(sol.y[:, -1])
+        ys.append(sol.y[:, -1].copy())  # not a view that keeps all of sol.y
         steps = np.diff(sol.t)
         step = steps[-2] if steps.size > 1 else steps[-1]
 

@@ -243,8 +243,26 @@ class TestRecurrence:
         assert coarse_gap > 10.0 * fine_gap
 
 
+def switch_grid(side: int, **over) -> np.ndarray:
+    """A 0:300 grid with ⌈N/2⌉ + ``side`` points, N the expansion's terms at t = 300."""
+    p = params(**over)
+    _, omega_k, gamma_k = mode_hamiltonian(p)
+    _, radius = exact._spectral_interval(p, omega_k, gamma_k)
+    terms = int(exact._bessel_order(np.array([radius * 300.0]))[0]) + 1
+    return time_grid(0.0, 300.0, -(-terms // 2) + side)
+
+
 class TestChebyshevRoute:
-    """The Chebyshev expansion against the dense mode-space reference."""
+    """The Chebyshev expansion against the dense mode-space reference.
+
+    An expansion over fewer times than half its terms streams its terms in
+    chunks; one over more keeps them all. The LIN cases (151 points, 439–547
+    terms), ``log``, ``recurrence_window``, ``two_restarts``,
+    ``M400_restarts`` and ``switch_below`` stream; the preset grids,
+    ``t0_only`` (one term), ``M50_fine`` (4-vector restarts of 1228 times
+    each) and ``switch_above`` keep the whole table. ``switch_below`` and
+    ``switch_above`` hold ⌈N/2⌉ − 1 and ⌈N/2⌉ + 1 times.
+    """
 
     LIN = time_grid(0.0, 300.0, 151)
     CASES = {
@@ -267,7 +285,14 @@ class TestChebyshevRoute:
         "log": ({}, time_grid(0.01, 300.0, 60, "log")),
         "two_restarts": ({"M": 50}, time_grid(0.0, 1500.0, 301)),
         "t0_only": ({"M": 20}, np.array([0.0])),     # one term, no odd table
+        "M50_fine": ({"M": 50}, time_grid(0.0, 1500.0, 3001)),
+        "M400_restarts": ({"M": 400}, time_grid(0.0, 3000.0, 101)),   # about 5 expansions
+        "switch_below": ({"M": 50}, switch_grid(-1, M=50)),
+        "switch_above": ({"M": 50}, switch_grid(1, M=50)),
     }
+    STREAMED = {"M1", "M3", "M50", "M300", "g0", "g1e-6", "g0.98", "alpha0.1", "alpha2",
+                "cold", "hot", "recurrence_window", "log", "two_restarts", "M400_restarts",
+                "switch_below"}
 
     @staticmethod
     def columns(run) -> np.ndarray:
@@ -286,6 +311,20 @@ class TestChebyshevRoute:
         assert np.all(deviation <= 1e-12), deviation
         start = np.flatnonzero(times == 0.0)
         assert start.size == 1 and np.all(got[start] == 0.0)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_blocking_follows_the_sizes(self, case, monkeypatch):
+        streamed = []
+        stream = exact._stream
+
+        def spy(*args):
+            streamed.append(True)
+            return stream(*args)
+
+        monkeypatch.setattr(exact, "_stream", spy)
+        over, times = self.CASES[case]
+        exact_trajectory(params(**over), times)
+        assert bool(streamed) == (case in self.STREAMED)
 
     def test_horizon_spans_two_restarts(self):
         p = params(M=50)
@@ -342,8 +381,10 @@ class TestBessel:
 
 class TestMemory:
     def test_peak_memory_at_m800(self):
-        # the Chebyshev tables (2 start vectors, 547 terms, (M+2) each,
-        # 7.0 MB here) and one block of times (about 4 MB)
+        # 101 times against 547 terms streams the terms: two sums and one
+        # product of 101 × 2 × 802 values (3.9 MB), a chunk of 38 terms
+        # (0.5 MB) and the 547 × 101 Bessel table (0.4 MB); the whole table
+        # of 547 terms would be 7.0 MB
         times = np.linspace(0.0, 300.0, 101)
         tracemalloc.start()
         try:
@@ -351,11 +392,14 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 6.5 * 2**20
 
     def test_peak_memory_over_restarts(self):
-        # t_max = 30000 takes about 50 expansions; each holds at most _TERMS
-        # terms of 4 start vectors (13 MB at M = 400), one at a time
+        # t_max = 30000 takes about 50 expansions of 7 times each (6 grid
+        # points and the restart), all streamed, one at a time: three arrays
+        # of 7 × 4 × 402 values (0.27 MB), a chunk of 16 terms of 4 start
+        # vectors (0.2 MB) and a 1024 × 7 Bessel table; the whole table of
+        # 1024 terms would be 13 MB
         times = time_grid(0.0, 30000.0, 301)
         tracemalloc.start()
         try:
@@ -363,4 +407,4 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 4 * 2**20
