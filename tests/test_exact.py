@@ -301,19 +301,7 @@ class TestChebyshevRoute:
                                 traj.cross.imag, run.energies])
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_mode_space_reference(self, case):
-        over, times = self.CASES[case]
-        p = params(**over)
-        got = self.columns(exact_trajectory(p, times))
-        ref = self.columns(mode_space_trajectory(p, times))
-        scale = np.maximum(1.0, np.abs(ref).max(axis=0))
-        deviation = (np.abs(got - ref) / scale).max(axis=0)
-        assert np.all(deviation <= 1e-12), deviation
-        start = np.flatnonzero(times == 0.0)
-        assert start.size == 1 and np.all(got[start] == 0.0)
-
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_blocking_follows_the_sizes(self, case, monkeypatch):
+    def test_matches_mode_space_reference(self, case, monkeypatch):
         streamed = []
         stream = exact._stream
 
@@ -323,8 +311,15 @@ class TestChebyshevRoute:
 
         monkeypatch.setattr(exact, "_stream", spy)
         over, times = self.CASES[case]
-        exact_trajectory(params(**over), times)
+        p = params(**over)
+        got = self.columns(exact_trajectory(p, times))
         assert bool(streamed) == (case in self.STREAMED)
+        ref = self.columns(mode_space_trajectory(p, times))
+        scale = np.maximum(1.0, np.abs(ref).max(axis=0))
+        deviation = (np.abs(got - ref) / scale).max(axis=0)
+        assert np.all(deviation <= 1e-12), deviation
+        start = np.flatnonzero(times == 0.0)
+        assert start.size == 1 and np.all(got[start] == 0.0)
 
     def test_horizon_spans_two_restarts(self):
         p = params(M=50)
