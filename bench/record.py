@@ -4,8 +4,12 @@ between two source trees.
     python3 bench/record.py --src SRC [--against OTHER_SRC] [--out BENCH_N.json]
 
 ``SRC`` and ``OTHER_SRC`` are the ``src`` directories of two checkouts of
-this repository, typically a change and its parent. Each measurement runs in
-a fresh worker process that imports ``oscpair`` from one tree only:
+this repository, typically a change and its parent. Each repeat of a
+measurement runs in a fresh worker process per tree that imports ``oscpair``
+from that tree only. The trees take turns going first from one repeat to
+the next, so host load and fresh-process BLAS effects fall on both alike;
+each case records the order of its repeats (``order``, tree names). The
+measurements:
 
 - ``exact_trajectory`` at the headline parameters (fig4) with M = 50, 100,
   200, 400, 800, 1600, 4000 and 16000 on the 1501-point grid 0:300;
@@ -35,23 +39,24 @@ a fresh worker process that imports ``oscpair`` from one tree only:
   model at M = 50), each timed from the spawn of its interpreter to its exit,
   so import costs count.
 
-Each is repeated ``--repeats`` times inside its worker (a fresh-process case
-starts one interpreter per repeat); a worker that exceeds ``--timeout``
-seconds is stopped and its finished repeats are kept, with the limit
-recorded. Besides the times, every repeat records its outputs (moments,
-fidelities, the verify reports, the spot check's summary), and the record
+Each is repeated ``--repeats`` times. A worker makes one untimed warm-up
+call and then the timed repeat (a fresh-process case starts one interpreter
+per repeat and has no warm-up). A worker that exceeds ``--timeout`` seconds
+is stopped, the limit is recorded and that tree's later repeats of the case
+are skipped; its finished repeats are kept. Besides the times, every repeat
+records its outputs (moments, fidelities, the verify reports, the spot
+check's summary), and the record
 gives the largest absolute difference of its outputs between the two trees:
 the accuracy delta of the change; a fresh-process case's outputs are the
 values of the CSV files it writes. Outputs longer than ``MAX_STORED`` values
 (trajectories, the sweep's CSVs) enter the delta but not the record. A case's
 ``size`` is the cutoff d of a Fock case and the bath size M of an exact case.
-A case run in a worker also records the worker's peak resident memory
-(``peak_rss_mb``, from ``getrusage``), which for a large case is the case's,
-and the process CPU seconds of each repeat (``cpu_s``, user + system time
+A case run in a worker also records the largest peak resident memory of
+its workers (``peak_rss_mb``, from ``getrusage``), which for a large case is
+the case's, and the process CPU seconds of each repeat (``cpu_s``, user + system time
 from ``getrusage`` around the repeat, with their median ``median_cpu_s``).
-The CPU time counts BLAS worker threads, so a thread woken in one repeat
-reads as CPU above wall time in that repeat and, while it spins on, in the
-repeats that follow.
+The CPU time counts BLAS worker threads, so a thread woken by the warm-up
+reads as CPU above wall time in the repeat while it spins on.
 Machine, libraries, BLAS and its thread settings come from
 ``perfbench/provenance.py``.
 """
@@ -214,22 +219,22 @@ def _run_case(op: str, size: int | None):
     raise ValueError(f"unknown case {op!r}")
 
 
-def _worker(src: str, op: str, size: int | None, repeats: int) -> None:
+def _worker(src: str, op: str, size: int | None) -> None:
+    """One untimed warm-up call of the case, then one timed repeat, whose
+    record is printed as one line of JSON."""
     sys.path.insert(0, src)
     import oscpair
 
     if Path(oscpair.__file__).resolve().parent.parent != Path(src).resolve():
         raise RuntimeError(f"imported oscpair from {oscpair.__file__}, not from {src}")
-    # _run_case's imports, so that they stay out of the first repeat's cpu_s
-    from oscpair import cli, fock, verify  # noqa: F401
-    for _ in range(repeats):
+    with contextlib.redirect_stdout(sys.stderr):  # stdout carries the record
+        _run_case(op, size)
         cpu_start = _cpu_seconds()
-        with contextlib.redirect_stdout(sys.stderr):  # stdout carries the records
-            seconds, outputs, *extra = _run_case(op, size)
+        seconds, outputs, *extra = _run_case(op, size)
         cpu_s = _cpu_seconds() - cpu_start
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(json.dumps({"seconds": seconds, "cpu_s": cpu_s, "outputs": outputs,
-                          "peak_rss_mb": peak_mb, **(extra[0] if extra else {})}), flush=True)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"seconds": seconds, "cpu_s": cpu_s, "outputs": outputs,
+                      "peak_rss_mb": peak_mb, **(extra[0] if extra else {})}), flush=True)
 
 
 def _cpu_seconds() -> float:
@@ -245,39 +250,32 @@ def _csv_values(out: Path) -> list[float]:
             for x in np.loadtxt(path, delimiter=",", skiprows=1).ravel().tolist()]
 
 
-def _measure_fresh(src: Path, op: str, repeats: int, timeout: float) -> dict:
-    """Time ``repeats`` fresh interpreters running one case, each from spawn to exit."""
+def _measure_fresh(src: Path, op: str, timeout: float) -> dict:
+    """One fresh interpreter running one case, timed from spawn to exit."""
     src = src.resolve()
     code = f"import sys, oscpair; assert oscpair.__file__.startswith({str(src)!r})"
     if FRESH[op] is not None:
         code += f"; from oscpair.cli import main; sys.exit(main({FRESH[op] + ['--out', 'out']!r}))"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = {"seconds": [], "outputs": None}
-    for _ in range(repeats):
-        with tempfile.TemporaryDirectory() as cwd:
-            start = time.monotonic()
-            try:
-                proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                                      capture_output=True, timeout=timeout)
-            except subprocess.TimeoutExpired:
-                out["timed_out_after_s"] = timeout
-                break
-            elapsed = time.monotonic() - start
-            if proc.returncode != 0:
-                out["exit_code"] = proc.returncode
-                break
-            out["seconds"].append(elapsed)
-            out["outputs"] = _csv_values(Path(cwd))
-    if out["seconds"]:
-        out["median_s"] = statistics.median(out["seconds"])
-    return out
+    with tempfile.TemporaryDirectory() as cwd:
+        start = time.monotonic()
+        try:
+            proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                                  capture_output=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return {"timed_out_after_s": timeout}
+        if proc.returncode != 0:
+            return {"exit_code": proc.returncode}
+        return {"seconds": time.monotonic() - start, "outputs": _csv_values(Path(cwd))}
 
 
-def _measure(src: Path, op: str, size: int | None, repeats: int, timeout: float) -> dict:
+def _measure_once(src: Path, op: str, size: int | None, timeout: float) -> dict:
+    """One timed repeat of a case in a fresh worker (or interpreter) on ``src``:
+    its record, or the worker's ``timed_out_after_s`` or ``exit_code``."""
     if op in FRESH:
-        return _measure_fresh(src, op, repeats, timeout)
+        return _measure_fresh(src, op, timeout)
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker",
-            "--src", str(src.resolve()), "--op", op, "--repeats", str(repeats)]
+            "--src", str(src.resolve()), "--op", op]
     if size is not None:
         argv += ["--size", str(size)]
     with tempfile.TemporaryFile("w+") as log:
@@ -287,21 +285,25 @@ def _measure(src: Path, op: str, size: int | None, repeats: int, timeout: float)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-            code = None
+            return {"timed_out_after_s": timeout}
         log.seek(0)
         runs = [json.loads(line) for line in log if line.strip()]
-    out = {"seconds": [r["seconds"] for r in runs], "cpu_s": [r["cpu_s"] for r in runs],
-           "outputs": runs[-1]["outputs"] if runs else None}
+    return runs[0] if code == 0 and runs else {"exit_code": code}
+
+
+def _summary(runs: list[dict], stop: dict) -> dict:
+    """One tree's record of a case from its repeats' records, and the
+    ``timed_out_after_s`` or ``exit_code`` that stopped them, if any."""
+    out = {"seconds": [r["seconds"] for r in runs],
+           "outputs": runs[-1]["outputs"] if runs else None, **stop}
     if runs:
         out["median_s"] = statistics.median(out["seconds"])
+    if runs and "cpu_s" in runs[0]:
+        out["cpu_s"] = [r["cpu_s"] for r in runs]
         out["median_cpu_s"] = statistics.median(out["cpu_s"])
         out["peak_rss_mb"] = max(r["peak_rss_mb"] for r in runs)
     if runs and "traced_peak_mb" in runs[0]:
         out["traced_peak_mb"] = [r["traced_peak_mb"] for r in runs]
-    if code is None:
-        out["timed_out_after_s"] = timeout
-    elif code != 0:
-        out["exit_code"] = code
     return out
 
 
@@ -342,13 +344,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the record here (default: print it)")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds allowed to one worker (all repeats of one case)")
+                        help="seconds allowed to one worker (a warm-up and one repeat)")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--op", help=argparse.SUPPRESS)
     parser.add_argument("--size", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        _worker(args.src, args.op, args.size, args.repeats)
+        _worker(args.src, args.op, args.size)
         return 0
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -371,9 +373,21 @@ def main(argv=None) -> int:
         "cases": [],
     }
     for op, size in CASES:
-        entry = {"op": op, "size": size}
-        for name, src in trees.items():
-            entry[name] = _measure(src, op, size, args.repeats, args.timeout)
+        entry = {"op": op, "size": size, "order": []}
+        runs = {name: [] for name in trees}
+        stops = {name: {} for name in trees}
+        for repeat in range(args.repeats):
+            order = list(trees) if repeat % 2 == 0 else list(trees)[::-1]
+            entry["order"].append(order)
+            for name in order:
+                if not stops[name]:
+                    run = _measure_once(trees[name], op, size, args.timeout)
+                    if "seconds" in run:
+                        runs[name].append(run)
+                    else:
+                        stops[name] = run
+        for name in trees:
+            entry[name] = _summary(runs[name], stops[name])
             print(f"{op} size={size} {name}: {entry[name].get('median_s', math.nan):.4g} s"
                   + (" (timed out)" if "timed_out_after_s" in entry[name] else ""),
                   file=sys.stderr, flush=True)

@@ -20,10 +20,11 @@ horizon restarts the expansion every _TERMS terms. At t = 0 only J_0 is
 nonzero, so the t = 0 output is the initial state exactly.
 
 The amplitudes are one product, (Bessel weights)ᵀ · (vectors), per parity of
-n, blocked along its smaller side. An expansion over at least half as many
-times as terms keeps all N vectors and takes the times a block at a time; one
-over fewer times runs the recurrence a chunk of terms at a time and adds each
-chunk into amplitudes held for all its times. Either way an expansion holds
+n, computed in one loop: blocks of times outside, chunks of terms inside,
+blocked along the product's smaller side. An expansion over at least half as
+many times as terms keeps all N vectors in one chunk and takes the times a
+block at a time; one over fewer times takes all its times in one block and
+runs the recurrence a chunk of terms at a time. Either way an expansion holds
 O(min(T, N)·M) values, not O(N·M): a coarse grid over a long horizon costs
 memory by its points.
 
@@ -247,39 +248,36 @@ def _chebyshev_chunks(start: np.ndarray, diag2: np.ndarray, arm2: np.ndarray,
                       count: int, size: int):
     """T_n(ĥ)·start for n < count, ``size`` terms at a time.
 
-    Yields (lo, (even, odd)) per chunk of terms lo ≤ n < lo + size: tables of
-    shape (·, s, M+2) whose rows are the chunk's even and odd n in order (the
-    last chunk fills only their first rows). The same two tables are
-    refilled for every chunk, so ``size`` is either even and at least 4 (the
-    last two terms of a chunk start the next) or at least ``count`` (one chunk).
+    Yields (lo, terms) per chunk of terms lo ≤ n < lo + size: ``terms`` has
+    shape (size, s·(M+2)), row j the s vectors T_{lo+j}(ĥ)·start (the last
+    chunk fills only its first count − lo rows). Every chunk is written into
+    the same buffer, and its first two terms step from the previous chunk's
+    last two, rows −1 and −2, before they are overwritten. So ``size`` is
+    either at least 3 or at least ``count`` (one chunk), and a caller that
+    keeps ``terms`` past the next chunk must have only one chunk.
     ``start`` holds the s start vectors as rows. The arrowhead 2ĥ is
     diag(``diag2``) + u e_Aᵀ + e_A uᵀ with u = ``arm2`` (u_A = 0), so each
     step of T_{n+1} = 2ĥT_n − T_{n−1} is one product with that diagonal and
     two with the rank-2 part.
     """
     s, n = start.shape
-    tables = (np.empty(((size + 1) // 2, s, n)), np.empty((size // 2, s, n)))
-    # the chunk's terms in order, as views into the two tables
-    steps = [table for pair in zip(*tables) for table in pair] + list(tables[0][size // 2:])
+    buf = np.empty((size, s, n))
+    rows = list(buf)
     left = np.zeros((n, 2))
     left[:, 0], left[0, 1] = arm2, 1.0
     right = left[:, ::-1].T.copy()
+    buf[0] = start
     for lo in range(0, count, size):
-        if lo == 0:
-            tables[0][0] = start
-            seq = steps[:count]
-        else:
-            seq = steps[size - 2:] + steps[:count - lo]
-        for k in range(1 if lo == 0 else 2, len(seq)):
-            cur, out = seq[k - 1], seq[k]
+        for j in range(1 if lo == 0 else 0, min(size, count - lo)):
+            cur, out = rows[j - 1], rows[j]
             np.multiply(cur, diag2, out=out)
-            if k == 1:
+            if lo + j == 1:                 # T_1 = ĥT_0
                 out += (cur @ left) @ right
                 out *= 0.5
             else:
-                out -= seq[k - 2]
+                out -= rows[j - 2]
                 out += (cur @ left) @ right
-        yield lo, tables
+        yield lo, buf.reshape(size, s * n)
 
 
 def _coefficients(jn: np.ndarray) -> np.ndarray:
@@ -310,41 +308,27 @@ def _combine(re: np.ndarray, im: np.ndarray):
     return re[:, :2], im[:, :2]
 
 
-def _amplitudes(jn: np.ndarray, tables: tuple[np.ndarray, np.ndarray]):
-    """Re ψ and Im ψ of ψ_A, ψ_B, shape (len(t), 2, M+2), from the Bessel table
-    ``jn`` (rows n, columns t; overwritten) and the whole Chebyshev tables of
-    the s start vectors: one real product per parity.
-    """
-    even, odd = tables
-    s, n = even.shape[1:]
-    ne, no = (jn.shape[0] + 1) // 2, jn.shape[0] // 2
-    _coefficients(jn)
-    re = (jn[0::2].T @ even[:ne].reshape(ne, s * n)).reshape(-1, s, n)
-    im = (jn[1::2].T @ odd[:no].reshape(no, s * n)).reshape(-1, s, n)
-    return _combine(re, im)
-
-
 def _block_sums(re: np.ndarray, im: np.ndarray, detune: np.ndarray,
                 coupling: np.ndarray) -> np.ndarray:
-    """Bath sums per time from Re ψ and Im ψ with √N_k-weighted bath columns.
+    """Bath sums per time from Re ψ and Im ψ of ψ_A, ψ_B, shape (len(t), 2, M+2),
+    with √N_k-weighted bath columns.
 
     Rows: ⟨a†a⟩, ⟨b†b⟩, Re⟨a†b⟩, Im⟨a†b⟩, Σ_k N_k(ω_k − ω0)|ψ_A,k|² and
     Re(ψ_A,A Σ_k N_k γ_k conj ψ_A,k); ``coupling`` is √N_k γ_k.
     """
     ar, br, ai, bi = re[:, 0, 2:], re[:, 1, 2:], im[:, 0, 2:], im[:, 1, 2:]
+
+    def dot(a, b):
+        return np.einsum("tk,tk->t", a, b)
+
     return np.stack([
-        _dot(ar, ar) + _dot(ai, ai),
-        _dot(br, br) + _dot(bi, bi),
-        _dot(ar, br) + _dot(ai, bi),
-        _dot(ar, bi) - _dot(ai, br),
+        dot(ar, ar) + dot(ai, ai),
+        dot(br, br) + dot(bi, bi),
+        dot(ar, br) + dot(ai, bi),
+        dot(ar, bi) - dot(ai, br),
         np.einsum("tk,tk,k->t", ar, ar, detune) + np.einsum("tk,tk,k->t", ai, ai, detune),
         re[:, 0, 0] * (ar @ coupling) + im[:, 0, 0] * (ai @ coupling),
     ])
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (t, k) arrays."""
-    return np.einsum("tk,tk->t", a, b)
 
 
 def _expand(start: np.ndarray, x: np.ndarray, diag2: np.ndarray, arm2: np.ndarray,
@@ -354,69 +338,60 @@ def _expand(start: np.ndarray, x: np.ndarray, diag2: np.ndarray, arm2: np.ndarra
     Returns the :func:`_block_sums` of every x (columns) and (Re ψ, Im ψ) of
     ψ_A, ψ_B at the last x. ``bath`` is (√N_k, ω_k − ω0, √N_k γ_k).
 
-    With N terms and T = len(x), the blocking follows the sizes alone:
+    One loop takes blocks of x outside and the chunks of terms that
+    :func:`_chebyshev_chunks` yields inside. A block's amplitudes are (Bessel
+    weights)ᵀ · (terms), one real product per parity of n, weights and terms
+    paired by n. With N terms and T = len(x), the blocking follows the sizes
+    alone:
 
-    - T ≥ N/2: the N vectors of the s start vectors are built once and their
-      bath columns weighted by √N_k once ψ at the last x is read off; each
-      block of x then costs two real matrix products (:func:`_amplitudes`)
-      and O(M) sums per time. Memory: N·s·(M+2) values plus one block.
-    - T < N/2: :func:`_stream` sums Re ψ and Im ψ at every x over chunks of
-      terms; ψ at the last x is read off before their bath columns are
-      weighted. Memory: about 3T·s·(M+2) values for the sums and one
-      product, a chunk of at most 2(T + 1) terms, and the N × T Bessel table.
+    - T ≥ N/2: one chunk of all N terms, kept for every block of x. Memory:
+      N·s·(M+2) values plus one block's Bessel table and amplitudes.
+    - T < N/2: one block of all x, over chunks of terms. A chunk holds one
+      term per 2**12 of the block's T·s·(M+2) amplitudes per parity, raised
+      to 16 and then capped at 2(T + 1): each chunk's add then costs about
+      2**12 values per term whatever the grid and M, and a chunk is never
+      much larger than the amplitudes. Memory: about 3T·s·(M+2) values for
+      the amplitudes and one product, the chunk, and the N × T Bessel table.
+
+    The block of the last x runs first: ψ there is read off, then the bath
+    columns of its amplitudes and of a kept chunk are weighted by √N_k. So
+    every later block comes out weighted, and no value is weighted twice.
     """
     root, detune, coupling = bath
     order = _bessel_order(x)
     count = int(order.max()) + 1
-    if 2 * x.size < count:
-        re, im = _stream(start, x, order, diag2, arm2)
-        last = re[-1].copy(), im[-1].copy()
-        re[:, :, 2:] *= root
-        im[:, :, 2:] *= root
-        return _block_sums(re, im, detune, coupling), last
-    (_, tables), = _chebyshev_chunks(start, diag2, arm2, count, count)
-    sums = np.empty((6, x.size))
-    size = max(64, _BLOCK_VALUES // (count + 2 * start.size))
-    blocks = [slice(lo, min(lo + size, x.size)) for lo in range(0, x.size, size)]
-    for blk in reversed(blocks):
-        jn = _bessel_table(x[blk], order[blk])
-        if blk is blocks[-1]:
-            last = tuple(part[0].copy() for part in _amplitudes(jn[:, -1:].copy(), tables))
-            for table in tables:
-                table[:, :, 2:] *= root
-        sums[:, blk] = _block_sums(*_amplitudes(jn, tables), detune, coupling)
-        del jn      # before the next block's table is built
-    return sums, last
-
-
-def _stream(start: np.ndarray, x: np.ndarray, order: np.ndarray, diag2: np.ndarray,
-            arm2: np.ndarray):
-    """Re ψ and Im ψ of ψ_A, ψ_B at every x, shape (len(x), 2, M+2), one chunk
-    of terms at a time.
-
-    Each chunk's even and odd terms meet the Bessel weights of every x in one
-    real product per parity, added into that parity's sums, len(x)·s·(M+2)
-    values each. A chunk holds one term per 2**12 of those values, raised to
-    16 and then capped at 2(len(x) + 1): each add then costs about 2**12
-    values per term whatever the grid and M, and a chunk is never much larger
-    than the two sums.
-    """
     s, n = start.shape
-    count = int(order.max()) + 1
-    jn = _coefficients(_bessel_table(x, order))
-    size = min(count, 2 * min(max(8, x.size * start.size >> 13), x.size + 1))
-    sums = np.empty((x.size, s * n)), np.empty((x.size, s * n))
-    product = np.empty((x.size, s * n))
-    for lo, tables in _chebyshev_chunks(start, diag2, arm2, count, size):
-        for weights, table, acc in zip((jn[0::2].T, jn[1::2].T), tables, sums):
-            weights = weights[:, lo // 2:lo // 2 + size // 2]
-            flat = table[:weights.shape[1]].reshape(weights.shape[1], s * n)
-            if lo == 0:
-                np.matmul(weights, flat, out=acc)
-            elif weights.shape[1]:
-                np.matmul(weights, flat, out=product)
-                acc += product
-    return _combine(*(acc.reshape(-1, s, n) for acc in sums))
+    if 2 * x.size < count:
+        block = x.size
+        size = min(count, 2 * min(max(8, x.size * start.size >> 13), x.size + 1))
+    else:
+        block = max(64, _BLOCK_VALUES // (count + 2 * start.size))
+        size = count
+    chunks = _chebyshev_chunks(start, diag2, arm2, count, size)
+    if size == count:
+        chunks = list(chunks)               # the one chunk serves every block
+    sums = np.empty((6, x.size))
+    for lo in reversed(range(0, x.size, block)):
+        coef = _coefficients(_bessel_table(x[lo:lo + block], order[lo:lo + block]))
+        amps = np.empty((2, coef.shape[1], s * n))      # even and odd sums
+        for first, terms in chunks:
+            k = min(size, len(coef) - first)
+            for p in (0, 1):
+                weights = coef[first + p:first + k:2].T
+                if first == 0:
+                    np.matmul(weights, terms[p:k:2], out=amps[p])
+                else:
+                    amps[p] += weights @ terms[p:k:2]
+        re, im = _combine(*amps.reshape(2, -1, s, n))
+        if lo + block >= x.size:
+            last = re[-1].copy(), im[-1].copy()
+            re[:, :, 2:] *= root
+            im[:, :, 2:] *= root
+            if size == count:               # the kept chunk, for the blocks to come
+                chunks[0][1].reshape(size, s, n)[:, :, 2:] *= root
+        sums[:, lo:lo + block] = _block_sums(re, im, detune, coupling)
+        del coef, weights, amps, re, im     # before the next block's are built
+    return sums, last
 
 
 def exact_trajectory(params: ModelParams, times) -> ExactRun:

@@ -56,9 +56,10 @@ class SchemeRunner:
     :func:`~oscpair.exact.exact_trajectory`, a Chebyshev expansion of the
     mode propagator with no eigensolver: its N ≈ r·t_max terms (r the
     half-width of the mode spectrum) cost O(N·M) to build and O(N·M) per
-    grid point to sum. On T grid points an expansion holds O(min(T, N)·M)
-    values: all N vectors when T ≥ N/2, else the T amplitudes and a chunk of
-    terms. Master-equation schemes are closed-form propagations
+    grid point to sum, in one loop of blocks of times over chunks of terms.
+    On T grid points an expansion holds O(min(T, N)·M) values: all N vectors
+    in one chunk when T ≥ N/2, else all T amplitudes in one block and a chunk
+    of terms. Master-equation schemes are closed-form propagations
     from the vacuum by :func:`~oscpair.moments.propagate` and essentially free.
     Every trajectory starts from the joint ground state, and its t = 0 row is
     exactly zero.

@@ -228,9 +228,10 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
     split = min(w_t / 2.0, params.omega0)
     if kind == "bare":
         power = alpha
-    else:  # above 40/β the occupation is below e^{-40}
+    else:  # above 40/β the occupation is below e^{-40}; β = ∞ leaves no band to cut
         power = alpha - 1.0
-        split = min(split, 40.0 / beta)
+        if beta < math.inf:
+            split = min(split, 40.0 / beta)
 
     def smooth(e):  # f(ε)/(pref·ε^power) at nodes e > 0
         if kind == "bare":

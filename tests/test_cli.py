@@ -130,6 +130,15 @@ def test_underflowing_bath_run_reports_no_memory_time(tmp_path):
     assert summary["tau_memory"] is None
 
 
+def test_zero_temperature_run(tmp_path):
+    # beta = inf: nothing to dissipate, so the exact state stays at the vacuum
+    argv = ["run", "--preset", "fig7", "--set", "beta=inf", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    _, rows = read_csv(tmp_path / "exact.csv")
+    assert np.all(rows[:, 1:] == 0.0)
+    assert json.loads((tmp_path / "summary.json").read_text())["tau_memory"] is None
+
+
 def test_sweep_writes_index(tmp_path):
     argv = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin", "--axis", "M",
             "--values", "40,50", "--out", str(tmp_path)]

@@ -252,16 +252,27 @@ def switch_grid(side: int, **over) -> np.ndarray:
     return time_grid(0.0, 300.0, -(-terms // 2) + side)
 
 
+def odd_chunk_grid(points: int, **over) -> np.ndarray:
+    """A 0:t_max grid of ``points`` times whose expansion has 2·points + 1 terms."""
+    p = params(**over)
+    _, omega_k, gamma_k = mode_hamiltonian(p)
+    _, radius = exact._spectral_interval(p, omega_k, gamma_k)
+    x = np.linspace(0.0, 2.0 * points, 2001)     # the order is at least x
+    return np.linspace(0.0, x[exact._bessel_order(x) == 2 * points].max() / radius, points)
+
+
 class TestChebyshevRoute:
     """The Chebyshev expansion against the dense mode-space reference.
 
-    An expansion over fewer times than half its terms streams its terms in
-    chunks; one over more keeps them all. The LIN cases (151 points, 439–547
-    terms), ``log``, ``recurrence_window``, ``two_restarts``,
-    ``M400_restarts`` and ``switch_below`` stream; the preset grids,
-    ``t0_only`` (one term), ``M50_fine`` (4-vector restarts of 1228 times
-    each) and ``switch_above`` keep the whole table. ``switch_below`` and
-    ``switch_above`` hold ⌈N/2⌉ − 1 and ⌈N/2⌉ + 1 times.
+    An expansion over fewer times than half its terms runs them in chunks
+    shorter than the term count; one over more keeps them all in one chunk.
+    The LIN cases (151 points, 439–547 terms), ``log``, ``recurrence_window``,
+    ``two_restarts``, ``M400_restarts`` and ``switch_below`` run in chunks;
+    the preset grids, ``t0_only`` (one term), ``M50_fine`` (4-vector
+    restarts of 1228 times each), ``switch_above`` and ``odd_chunk`` keep one
+    chunk. ``switch_below`` and ``switch_above`` hold ⌈N/2⌉ − 1 and
+    ⌈N/2⌉ + 1 times; ``odd_chunk`` holds 7 times against 15 terms, fewer
+    than half, which still fit in one chunk of odd length.
     """
 
     LIN = time_grid(0.0, 300.0, 151)
@@ -284,15 +295,29 @@ class TestChebyshevRoute:
         "recurrence_window": ({"M": 50}, time_grid(95.0, 112.0, 18)),
         "log": ({}, time_grid(0.01, 300.0, 60, "log")),
         "two_restarts": ({"M": 50}, time_grid(0.0, 1500.0, 301)),
-        "t0_only": ({"M": 20}, np.array([0.0])),     # one term, no odd table
+        "t0_only": ({"M": 20}, np.array([0.0])),     # one term, no odd one
         "M50_fine": ({"M": 50}, time_grid(0.0, 1500.0, 3001)),
         "M400_restarts": ({"M": 400}, time_grid(0.0, 3000.0, 101)),   # about 5 expansions
         "switch_below": ({"M": 50}, switch_grid(-1, M=50)),
         "switch_above": ({"M": 50}, switch_grid(1, M=50)),
+        "odd_chunk": ({"M": 50}, odd_chunk_grid(7, M=50)),
     }
-    STREAMED = {"M1", "M3", "M50", "M300", "g0", "g1e-6", "g0.98", "alpha0.1", "alpha2",
-                "cold", "hot", "recurrence_window", "log", "two_restarts", "M400_restarts",
-                "switch_below"}
+    CHUNKED = {"M1", "M3", "M50", "M300", "g0", "g1e-6", "g0.98", "alpha0.1", "alpha2",
+               "cold", "hot", "recurrence_window", "log", "two_restarts", "M400_restarts",
+               "switch_below"}
+
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        """(term count, chunk size) of every expansion run while the test runs."""
+        calls = []
+        chunks = exact._chebyshev_chunks
+
+        def spy(start, diag2, arm2, count, size):
+            calls.append((count, size))
+            return chunks(start, diag2, arm2, count, size)
+
+        monkeypatch.setattr(exact, "_chebyshev_chunks", spy)
+        return calls
 
     @staticmethod
     def columns(run) -> np.ndarray:
@@ -301,25 +326,22 @@ class TestChebyshevRoute:
                                 traj.cross.imag, run.energies])
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_mode_space_reference(self, case, monkeypatch):
-        streamed = []
-        stream = exact._stream
-
-        def spy(*args):
-            streamed.append(True)
-            return stream(*args)
-
-        monkeypatch.setattr(exact, "_stream", spy)
+    def test_matches_mode_space_reference(self, case, chunk_sizes):
         over, times = self.CASES[case]
         p = params(**over)
         got = self.columns(exact_trajectory(p, times))
-        assert bool(streamed) == (case in self.STREAMED)
+        assert any(size < count for count, size in chunk_sizes) == (case in self.CHUNKED)
         ref = self.columns(mode_space_trajectory(p, times))
         scale = np.maximum(1.0, np.abs(ref).max(axis=0))
         deviation = (np.abs(got - ref) / scale).max(axis=0)
         assert np.all(deviation <= 1e-12), deviation
         start = np.flatnonzero(times == 0.0)
         assert start.size == 1 and np.all(got[start] == 0.0)
+
+    def test_odd_chunk_streams_in_one_chunk(self, chunk_sizes):
+        over, times = self.CASES["odd_chunk"]
+        exact_trajectory(params(**over), times)
+        assert chunk_sizes == [(2 * times.size + 1,) * 2]
 
     def test_horizon_spans_two_restarts(self):
         p = params(M=50)
@@ -375,6 +397,20 @@ class TestBessel:
 
 
 class TestMemory:
+    def test_peak_memory_table_path(self):
+        # fig5's grid keeps all 548 terms of 2 × 402 values (3.5 MB) and takes
+        # the times in blocks of 243, each with its Bessel table (1.1 MB) and
+        # even and odd amplitudes (3.1 MB); a block kept alive while the next
+        # is built would add up to 4 MB
+        times = time_grid(0.0, 300.0, 1501)
+        tracemalloc.start()
+        try:
+            exact_trajectory(params(M=400), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
     def test_peak_memory_at_m800(self):
         # 101 times against 547 terms streams the terms: two sums and one
         # product of 101 × 2 × 802 values (3.9 MB), a chunk of 38 terms

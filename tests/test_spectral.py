@@ -417,6 +417,14 @@ class TestPvIntegral:
                 assert pv_integral(kind, w_t, p) == pytest.approx(
                     pv_mpmath(kind, w_t, p), rel=1e-13, abs=0)
 
+    def test_zero_temperature(self):
+        # β = ∞ empties N: the N-weighted integral vanishes and 1+N is the bare one
+        p = params(n_omega0=None, beta=math.inf)
+        for w_t in (p.omega_plus, p.omega_minus, p.omega0):
+            assert pv_integral("N", w_t, p) == 0.0
+            assert pv_integral("1+N", w_t, p) == pytest.approx(
+                pv_integral("bare", w_t, p), rel=0, abs=1e-16)
+
     def test_ohmic_bare_closed_form(self):
         # antiderivative of omega/(omega0-omega): -omega - omega0*ln|omega0-omega|
         p = params()
