@@ -373,16 +373,16 @@ def _expand(start: np.ndarray, x: np.ndarray, diag2: np.ndarray, arm2: np.ndarra
     sums = np.empty((6, x.size))
     for lo in reversed(range(0, x.size, block)):
         coef = _coefficients(_bessel_table(x[lo:lo + block], order[lo:lo + block]))
-        amps = np.empty((2, coef.shape[1], s * n))      # even and odd sums
+        amps = []                           # even and odd sums
         for first, terms in chunks:
             k = min(size, len(coef) - first)
             for p in (0, 1):
-                weights = coef[first + p:first + k:2].T
+                weights, vectors = coef[first + p:first + k:2].T, terms[p:k:2]
                 if first == 0:
-                    np.matmul(weights, terms[p:k:2], out=amps[p])
+                    amps.append(weights @ vectors)
                 else:
-                    amps[p] += weights @ terms[p:k:2]
-        re, im = _combine(*amps.reshape(2, -1, s, n))
+                    amps[p] += weights @ vectors
+        re, im = _combine(*(part.reshape(-1, s, n) for part in amps))
         if lo + block >= x.size:
             last = re[-1].copy(), im[-1].copy()
             re[:, :, 2:] *= root
