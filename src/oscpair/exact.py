@@ -248,25 +248,30 @@ def _chebyshev_chunks(start: np.ndarray, diag2: np.ndarray, arm2: np.ndarray,
                       count: int, size: int):
     """T_n(ĥ)·start for n < count, ``size`` terms at a time.
 
-    Yields (lo, terms) per chunk of terms lo ≤ n < lo + size: ``terms`` has
-    shape (size, s·(M+2)), row j the s vectors T_{lo+j}(ĥ)·start (the last
-    chunk fills only its first count − lo rows). Every chunk is written into
-    the same buffer, and its first two terms step from the previous chunk's
-    last two, rows −1 and −2, before they are overwritten. So ``size`` is
-    either at least 3 or at least ``count`` (one chunk), and a caller that
-    keeps ``terms`` past the next chunk must have only one chunk.
+    Yields (lo, (even, odd)) per chunk of terms lo ≤ n < lo + size: tables
+    of shape (·, s·(M+2)) whose rows are the s vectors T_n(ĥ)·start of the
+    chunk's even and odd j = n − lo in order (the last chunk fills only
+    their first rows). Every chunk is written into the same two tables, and
+    its first two terms step from the previous chunk's last two before they
+    are overwritten. So ``size`` is either at least 3 or at least ``count``
+    (one chunk), and a caller that keeps the tables past the next chunk must
+    have only one chunk. Two tables of half a chunk, not one, keep each
+    allocation at half the size: glibc raises its mmap threshold only when it
+    frees a block of at most 32 MiB, and with one 33.5 MiB table at M = 4000
+    a second call re-faulted every block's arrays (47 000 minor page faults
+    against 3 000).
     ``start`` holds the s start vectors as rows. The arrowhead 2ĥ is
     diag(``diag2``) + u e_Aᵀ + e_A uᵀ with u = ``arm2`` (u_A = 0), so each
     step of T_{n+1} = 2ĥT_n − T_{n−1} is one product with that diagonal and
     two with the rank-2 part.
     """
     s, n = start.shape
-    buf = np.empty((size, s, n))
-    rows = list(buf)
+    tables = np.empty(((size + 1) // 2, s, n)), np.empty((size // 2, s, n))
+    rows = [row for pair in zip(*tables) for row in pair] + list(tables[0][size // 2:])
     left = np.zeros((n, 2))
     left[:, 0], left[0, 1] = arm2, 1.0
     right = left[:, ::-1].T.copy()
-    buf[0] = start
+    rows[0][:] = start
     for lo in range(0, count, size):
         for j in range(1 if lo == 0 else 0, min(size, count - lo)):
             cur, out = rows[j - 1], rows[j]
@@ -277,7 +282,7 @@ def _chebyshev_chunks(start: np.ndarray, diag2: np.ndarray, arm2: np.ndarray,
             else:
                 out -= rows[j - 2]
                 out += (cur @ left) @ right
-        yield lo, buf.reshape(size, s * n)
+        yield lo, tuple(table.reshape(len(table), s * n) for table in tables)
 
 
 def _coefficients(jn: np.ndarray) -> np.ndarray:
@@ -371,26 +376,34 @@ def _expand(start: np.ndarray, x: np.ndarray, diag2: np.ndarray, arm2: np.ndarra
     if size == count:
         chunks = list(chunks)               # the one chunk serves every block
     sums = np.empty((6, x.size))
-    for lo in reversed(range(0, x.size, block)):
-        coef = _coefficients(_bessel_table(x[lo:lo + block], order[lo:lo + block]))
+    for hi in range(x.size, 0, -block):
+        lo = max(hi - block, 0)
+        coef = _coefficients(_bessel_table(x[lo:hi], order[lo:hi]))
         amps = []                           # even and odd sums
         for first, terms in chunks:
             k = min(size, len(coef) - first)
             for p in (0, 1):
-                weights, vectors = coef[first + p:first + k:2].T, terms[p:k:2]
+                weights = coef[first + p:first + k:2].T
+                vectors = terms[p][:weights.shape[1]]
                 if first == 0:
                     amps.append(weights @ vectors)
                 else:
                     amps[p] += weights @ vectors
         re, im = _combine(*(part.reshape(-1, s, n) for part in amps))
-        if lo + block >= x.size:
+        # `last` is made while the Bessel table still lies below the products, so
+        # the next block reuses all three; the weighting's ufunc buffers come after
+        # the table is freed, so they add nothing to the peak
+        if hi == x.size:
             last = re[-1].copy(), im[-1].copy()
+        del coef, weights
+        if hi == x.size:
             re[:, :, 2:] *= root
             im[:, :, 2:] *= root
             if size == count:               # the kept chunk, for the blocks to come
-                chunks[0][1].reshape(size, s, n)[:, :, 2:] *= root
-        sums[:, lo:lo + block] = _block_sums(re, im, detune, coupling)
-        del coef, weights, amps, re, im     # before the next block's are built
+                for table in chunks[0][1]:
+                    table.reshape(len(table), s, n)[:, :, 2:] *= root
+        sums[:, lo:hi] = _block_sums(re, im, detune, coupling)
+        del amps, re, im                    # before the next block's are built
     return sums, last
 
 
