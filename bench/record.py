@@ -53,8 +53,9 @@ values of the CSV files it writes. Outputs longer than ``MAX_STORED`` values
 ``size`` is the cutoff d of a Fock case and the bath size M of an exact case.
 A case run in a worker also records the largest peak resident memory of
 its workers (``peak_rss_mb``, from ``getrusage``), which for a large case is
-the case's, and the process CPU seconds of each repeat (``cpu_s``, user + system time
-from ``getrusage`` around the repeat, with their median ``median_cpu_s``).
+the case's, and the process CPU seconds of each repeat (``cpu_s``, user +
+system time from ``getrusage`` around the repeat, with their median
+``median_cpu_s``).
 The CPU time counts BLAS worker threads, so a thread woken by the warm-up
 reads as CPU above wall time in the repeat while it spins on.
 Machine, libraries, BLAS and its thread settings come from
