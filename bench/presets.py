@@ -11,7 +11,10 @@ fresh interpreter per tree, importing ``oscpair`` from that tree only, writes
 - ``oscpair fidelity`` on fig6, fig9a and fig9b;
 - ``oscpair fidelity --preset fig6 --grid 0:300:151:lin`` on global, local,
   mixture, ``cg_redfield:1.0`` and redfield, whose two filters past the CP
-  bound get the flagged ``re_f2_*`` / ``*_nonphysical`` columns.
+  bound get the flagged ``re_f2_*`` / ``*_nonphysical`` columns;
+- ``oscpair run --preset fig9b --grid 0:300:151:lin`` on a bare
+  ``cg_redfield`` and ``cp_redfield`` at ``delta_t=saturating`` and at
+  ``delta_t=3.7``, where the filter comes from ``delta_t``.
 
 Each file is then printed as ``byte-identical``, or with its largest
 deviation relative to column scale: max |a − b| / max(|a|, |b|) over a CSV
@@ -33,23 +36,29 @@ from pathlib import Path
 import numpy as np
 
 FIDELITY_PRESETS = ("fig6", "fig9a", "fig9b")
-FLAGGED = ["fidelity", "--preset", "fig6", "--grid", "0:300:151:lin",
-           "--set", "schemes=global,local,mixture,cg_redfield:1.0,redfield"]
+#: cases beyond each preset's run and the fidelity presets, by output directory
+EXTRA = {
+    "fidelity_fig6_flagged": ["fidelity", "--preset", "fig6", "--grid", "0:300:151:lin", "--set",
+                              "schemes=global,local,mixture,cg_redfield:1.0,redfield"],
+    **{f"run_fig9b_delta_t_{dt}": ["run", "--preset", "fig9b", "--grid", "0:300:151:lin", "--set",
+                                   "schemes=cg_redfield,cp_redfield", "--set", f"delta_t={dt}"]
+       for dt in ("saturating", "3.7")},
+}
 
-#: run in the fresh interpreter; argv: source tree, output root, JSON [fidelity presets, flagged]
+#: run in the fresh interpreter; argv: source tree, output root, JSON [fidelity presets, extra]
 CHILD = """
 import contextlib, io, json, sys
 from pathlib import Path
 import oscpair.cli
 from oscpair.presets import PRESETS
 
-src, out, (fidelity, flagged) = sys.argv[1], Path(sys.argv[2]), json.loads(sys.argv[3])
+src, out, (fidelity, extra) = sys.argv[1], Path(sys.argv[2]), json.loads(sys.argv[3])
 if Path(oscpair.cli.__file__).resolve().parents[1] != Path(src).resolve():
     sys.exit(f"oscpair imported from {oscpair.cli.__file__}, not from {src}")
 distinct = {id(entry): name for name, entry in reversed(PRESETS.items())}.values()
 cases = {f"run_{name}": ["run", "--preset", name] for name in distinct}
 cases.update({f"fidelity_{name}": ["fidelity", "--preset", name] for name in fidelity})
-cases["fidelity_fig6_flagged"] = flagged
+cases.update(extra)
 codes = {}
 for case, argv in cases.items():
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -62,7 +71,7 @@ def _write_tree(src: Path, out: Path) -> dict:
     """Write every case's artifacts from ``src`` under ``out``; returns the exit codes."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-c", CHILD, str(src), str(out),
-            json.dumps([FIDELITY_PRESETS, FLAGGED])]
+            json.dumps([FIDELITY_PRESETS, EXTRA])]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"{src}: {proc.stderr.strip()}")

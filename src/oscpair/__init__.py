@@ -24,9 +24,8 @@ from .moments import (MomentState, Scheme, Trajectory, mixture_moments, propagat
                       steady_state)
 from .params import SATURATING, ModelParams, bose_factor
 from .runner import SchemeRunner, time_grid
-from .spectral import (CoefficientSet, CpThreshold, bath_modes, correlation_function,
-                       cp_threshold, dissipation_matrix, dissipator_coefficients,
-                       memory_time, pv_integral, secular_filter, spectral_density)
+from .spectral import (CoefficientSet, bath_modes, correlation_function, cp_threshold,
+                       dissipator_coefficients, memory_time, pv_integral, spectral_density)
 
 # the public names, without the submodules that importing them binds here
 __all__ = [name for name in dir()

@@ -24,8 +24,7 @@ from .moments import MomentState, Trajectory, steady_state
 from .params import SATURATING, ModelParams
 from .presets import PRESETS, preset
 from .runner import SchemeRunner, parse_scheme, scheme_label, time_grid
-from .spectral import (cp_block_bounds, dissipation_matrix, dissipator_coefficients,
-                       memory_time)
+from .spectral import cp_block_bounds, memory_time
 
 
 def _delta_t(value: str) -> float | str:
@@ -260,11 +259,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     params, _, _ = build_config(args)
-    coeffs = dissipator_coefficients(params, lamb_shift=args.lamb_shift == "on")
+    runner = SchemeRunner(params, [0.0], lamb_shift=args.lamb_shift == "on")
+    coeffs = runner.coeffs
     print(f"cp_threshold = {_fmt(coeffs.cp_bound)}")
     for i, block in enumerate(cp_block_bounds(coeffs.gamma1, coeffs.gamma2), start=1):
         print(f"block_{i}_bound = {_fmt(block) if np.isfinite(block) else 'unconstrained'}")
-    eigs = np.linalg.eigvalsh(dissipation_matrix(coeffs, coeffs.cp_bound))
+    cp = runner.equation("cp_redfield")
+    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(cp.u), np.linalg.eigvalsh(cp.w)]))
     print("dissipation_matrix_eigenvalues_at_bound = "
           + " ".join(_fmt(e) for e in eigs))
     return 0

@@ -106,7 +106,7 @@ class Scheme:
             u=filt * coeffs.gamma1,
             w=filt * coeffs.gamma2.T,
             h=filt * (coeffs.eta1 + coeffs.eta2.T),
-            omegas=(coeffs.omega_plus, coeffs.omega_minus),
+            omegas=(coeffs.params.omega_plus, coeffs.params.omega_minus),
             filter_s=s,
         )
 
@@ -114,12 +114,12 @@ class Scheme:
     def local(cls, coeffs: CoefficientSet) -> "Scheme":
         """Local scheme: the bath sees only a = (γ₊ + γ₋)/√2, at ω0."""
         ones = np.ones((2, 2))
-        k0, n0 = coeffs.kappa_omega0, coeffs.n_occ_omega0
+        k0, n0 = coeffs.params.kappa0, coeffs.params.n_occupation_omega0
         return cls(
             u=0.5 * k0 * n0 * ones,
             w=0.5 * k0 * (1.0 + n0) * ones,
             h=0.5 * coeffs.delta_omega_a * ones,
-            omegas=(coeffs.omega_plus, coeffs.omega_minus),
+            omegas=(coeffs.params.omega_plus, coeffs.params.omega_minus),
         )
 
     def generator(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,32 +194,32 @@ def propagate(scheme: Scheme, times) -> Trajectory:
     point. Only a defective A, cond(V) ≥ 1e8, is evaluated instead as the
     exponential of the augmented matrix [[A, b], [0, 0]]·t, in one batched
     call over the grid. Either way the result is exact up to linear-algebra
-    roundoff.
+    roundoff. A trajectory that overflows, as a filter far past the CP bound
+    makes it, raises ``PropagationError`` at its first non-finite time.
     """
     times = grid_from_zero(times)
     a, b = scheme.generator()
 
     eigvals, eigvecs = np.linalg.eig(a)
-    if np.linalg.cond(eigvecs) < _COND_LIMIT:
-        lam = eigvals[:, None]
-        zero = lam == 0.0
-        phi = np.where(zero, times, np.expm1(lam * times) / np.where(zero, 1.0, lam))
-        xt = (eigvecs @ (np.linalg.solve(eigvecs, b)[:, None] * phi)).T
-        residue = np.abs(xt.imag).max()
-        scale = 1.0 + np.abs(xt.real).max()
-        if residue > 1e-9 * scale:
-            raise PropagationError(f"imaginary residue {residue:.2e} in eigen-propagation")
-        x = xt.real
-    else:
-        # affine flow as the last column of a 5x5 exponential; handles defective A
-        aug = np.zeros((5, 5))
-        aug[:4, :4] = a
-        aug[:4, 4] = b
-        x = expm(aug * times[:, None, None])[:, :4, 4]
-        diverged = ~np.isfinite(x).all(axis=1)
-        if diverged.any():
-            raise PropagationError(f"propagation diverged at t = {times[diverged.argmax()]}")
-
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergence is raised below
+        if np.linalg.cond(eigvecs) < _COND_LIMIT:
+            lam = eigvals[:, None]
+            zero = lam == 0.0
+            phi = np.where(zero, times, np.expm1(lam * times) / np.where(zero, 1.0, lam))
+            x = (eigvecs @ (np.linalg.solve(eigvecs, b)[:, None] * phi)).T
+        else:
+            # affine flow as the last column of a 5x5 exponential; handles defective A
+            aug = np.zeros((5, 5))
+            aug[:4, :4] = a
+            aug[:4, 4] = b
+            x = expm(aug * times[:, None, None])[:, :4, 4]
+    diverged = ~np.isfinite(x).all(axis=1)
+    if diverged.any():
+        raise PropagationError(f"propagation diverged at t = {times[diverged.argmax()]}")
+    residue = np.abs(x.imag).max()
+    if residue > 1e-9 * (1.0 + np.abs(x.real).max()):
+        raise PropagationError(f"imaginary residue {residue:.2e} in eigen-propagation")
+    x = x.real
     return Trajectory(times, x[:, 0], x[:, 1], x[:, 2] + 1j * x[:, 3])
 
 

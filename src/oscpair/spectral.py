@@ -2,9 +2,12 @@
 
 Everything here is a pure function of its inputs; :class:`CoefficientSet`
 instances are immutable once built, so concurrent use needs no locking.
-The complete-positivity bound on the Redfield filter has one owner,
-``CoefficientSet.cp_bound``. The Bose factor N(ω) is
-:func:`oscpair.params.bose_factor`, which this module imports and re-exports.
+The module computes only what the bath gives and never reads the
+coarse-grain interval Δt: the filter a scheme runs at is chosen by
+:meth:`oscpair.runner.SchemeRunner.equation`. The complete-positivity bound
+on that filter has one owner, ``CoefficientSet.cp_bound``. The Bose factor
+N(ω) is :func:`oscpair.params.bose_factor`, which this module imports and
+re-exports.
 
 The bath correlation functions, and the memory time found from them, are
 summed in real arithmetic by ``np.einsum`` over one cached table of bath
@@ -19,12 +22,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .params import SATURATING, ModelParams, bose_factor
+from .params import ModelParams, bose_factor
 
 PV_KINDS = ("N", "1+N", "bare")
 
@@ -259,26 +261,6 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
     return float(pref * (head + tail))
 
 
-def secular_filter(delta_t, g: float) -> np.ndarray:
-    """Coarse-grain filter S^(Δt): ones on the diagonal, sinc(gΔt) off it.
-
-    Accepts Δt = ∞ (full secular limit, off-diagonal 0) and the
-    ``"saturating"`` sentinel is *not* resolved here — it needs the
-    positivity bound, which :func:`dissipator_coefficients` substitutes.
-    """
-    if isinstance(delta_t, str):
-        raise DomainError(
-            "secular_filter needs a numeric delta_t; resolve the saturating "
-            "sentinel through cp_threshold first")
-    if delta_t < 0.0:
-        raise DomainError(f"delta_t must be >= 0, got {delta_t}")
-    if math.isinf(delta_t):
-        off = 0.0
-    else:
-        off = float(np.sinc(g * delta_t / np.pi))  # np.sinc(x) = sin(πx)/(πx)
-    return np.array([[1.0, off], [off, 1.0]])
-
-
 _P, _M = 0, 1  # tensor indices for the eigenmode labels +, −
 
 
@@ -292,24 +274,20 @@ class CoefficientSet:
         γ_{σσ'} = (γ_{σσ}+γ_{σ'σ'})/2 + i(η_{σσ}−η_{σ'σ'}),
         η_{σσ'} = −i(γ_{σσ}−γ_{σ'σ'})/4 + (η_{σσ}+η_{σ'σ'})/2.
 
-    The eigenfrequencies ω± and the A-mode constants κ(ω0), N(ω0) and δω_A
-    feed the local scheme; ``s_offdiag`` is the off-diagonal filter value
-    implied by the delta_t of the parameters, which generators may override.
-    ``cp_bound`` is the complete-positivity bound on |s|, the smaller of the
+    ``params`` is the parameter set the tensors were built from: every
+    scheme reads ω± there, and the local scheme also κ(ω0) and N(ω0).
+    ``delta_omega_a`` is the A-mode Lamb shift δω_A. ``cp_bound`` is the
+    complete-positivity bound on the filter |s|, the smaller of the
     :func:`cp_block_bounds` and 1. Rates and occupations at ω± live in the γ
     diagonals, and the eigenmode Lamb shifts in the η diagonals.
     """
 
-    omega_plus: float
-    omega_minus: float
-    kappa_omega0: float
-    n_occ_omega0: float
+    params: ModelParams
     gamma1: np.ndarray
     gamma2: np.ndarray
     eta1: np.ndarray
     eta2: np.ndarray
     delta_omega_a: float
-    s_offdiag: float
     cp_bound: float
 
     def __post_init__(self):
@@ -352,41 +330,15 @@ def dissipator_coefficients(params: ModelParams, *, lamb_shift: bool = True) -> 
 
     delta_omega_a = -pv_integral("bare", params.omega0, params) if lamb_shift else 0.0
 
-    cp_bound = float(min(*cp_block_bounds(gamma1, gamma2), 1.0))
-    if params.delta_t == SATURATING:
-        s_off = cp_bound
-    else:
-        s_off = secular_filter(params.delta_t, params.g)[0, 1]
-
     return CoefficientSet(
-        omega_plus=params.omega_plus,
-        omega_minus=params.omega_minus,
-        kappa_omega0=params.kappa0,
-        n_occ_omega0=params.n_occupation_omega0,
+        params=params,
         gamma1=gamma1,
         gamma2=gamma2,
         eta1=eta1,
         eta2=eta2,
         delta_omega_a=delta_omega_a,
-        s_offdiag=float(s_off),
-        cp_bound=cp_bound,
+        cp_bound=float(min(*cp_block_bounds(gamma1, gamma2), 1.0)),
     )
-
-
-def dissipation_matrix(coeffs: CoefficientSet, s: float) -> np.ndarray:
-    """4×4 Hermitian dissipation matrix whose spectrum decides complete positivity.
-
-    Block diagonal: one 2×2 block per i ∈ {1, 2} holding the diagonal rates
-    and the filter-smoothed off-diagonals s·γ^(i)_{+−}.
-    """
-    out = np.zeros((4, 4), dtype=complex)
-    for i, gam in enumerate((coeffs.gamma1, coeffs.gamma2)):
-        block = np.array([
-            [gam[_P, _P], s * gam[_P, _M]],
-            [s * gam[_M, _P], gam[_M, _M]],
-        ])
-        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = block
-    return out
 
 
 def cp_block_bounds(gamma1: np.ndarray, gamma2: np.ndarray) -> list[float]:
@@ -396,17 +348,13 @@ def cp_block_bounds(gamma1: np.ndarray, gamma2: np.ndarray) -> list[float]:
             if abs(gam[_P, _M]) > 0.0 else math.inf for gam in (gamma1, gamma2)]
 
 
-class CpThreshold(NamedTuple):
-    bound: float
-    matrix: np.ndarray  # dissipation matrix evaluated at the bound
+def cp_threshold(params: ModelParams, *, lamb_shift: bool = True) -> float:
+    """The complete-positivity bound on the filter |s| at ``params``:
+    ``cp_bound`` of a fresh :func:`dissipator_coefficients`.
 
-
-def cp_threshold(params: ModelParams, *, lamb_shift: bool = True) -> CpThreshold:
-    """Positivity threshold on |S₊₋| plus the dissipation matrix at the bound.
-
-    |S₊₋| at or below the bound is equivalent to positive semidefiniteness
-    of the returned matrix; at the bound one eigenvalue touches zero unless
-    the clamp at 1 was active.
+    A coarse-grained Redfield scheme is completely positive exactly when its
+    gain and loss matrices u and w are positive semidefinite, which holds for
+    |s| up to this bound; at the bound one of their eigenvalues touches zero
+    unless the clamp at 1 was active.
     """
-    coeffs = dissipator_coefficients(params, lamb_shift=lamb_shift)
-    return CpThreshold(coeffs.cp_bound, dissipation_matrix(coeffs, coeffs.cp_bound))
+    return dissipator_coefficients(params, lamb_shift=lamb_shift).cp_bound

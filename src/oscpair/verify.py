@@ -68,7 +68,7 @@ def draw_case(rng: np.random.Generator) -> EquivalenceCase:
     params = ModelParams(g=g, kappa0=kappa0, alpha=alpha, n_omega0=n0)
     scheme = _SCHEME_CYCLE[int(rng.integers(0, len(_SCHEME_CYCLE)))]
     if scheme == "cg_redfield":
-        s = float(rng.uniform(0.3, 1.0) * spectral.cp_threshold(params).bound)
+        s = float(rng.uniform(0.3, 1.0) * spectral.cp_threshold(params))
         scheme = f"cg_redfield:{s!r}"
 
     # cap the accumulated occupation so a modest cutoff certifies the run

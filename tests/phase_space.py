@@ -229,9 +229,9 @@ def local_closed_form(coeffs: CoefficientSet, times) -> Trajectory:
       Im cross(t) = 4 N0 κ0 g e^{−κ0 t/2} [1 − cos(εt/2)]/ε²
     """
     times = np.asarray(times, dtype=float)
-    k0 = coeffs.kappa_omega0
-    n0 = coeffs.n_occ_omega0
-    g = 0.5 * (coeffs.omega_plus - coeffs.omega_minus)
+    k0 = coeffs.params.kappa0
+    n0 = coeffs.params.n_occupation_omega0
+    g = 0.5 * (coeffs.params.omega_plus - coeffs.params.omega_minus)
     disc = (4.0 * g) ** 2 - k0**2
     if disc <= 0.0:
         raise DomainError(

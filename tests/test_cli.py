@@ -168,7 +168,7 @@ def test_sweep_over_saturating_delta_t(tmp_path):
     assert [r["status"] for r in values.values()] == ["ok", "ok"]
     summary = json.loads((tmp_path / "delta_t=saturating" / "summary.json").read_text())
     params = ModelParams(**preset("fig5")["params"])
-    assert summary["schemes"]["cg_redfield"]["filter_s"] == cp_threshold(params).bound
+    assert summary["schemes"]["cg_redfield"]["filter_s"] == cp_threshold(params)
 
 
 def test_sweep_records_bad_value_with_the_set_parser_error(tmp_path):
@@ -216,7 +216,7 @@ def test_threshold_builds_coefficients_once(capsys, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs.get("lamb_shift", True))
         return build(*args, **kwargs)
 
     for module in (cli, runner, spectral):
@@ -224,20 +224,37 @@ def test_threshold_builds_coefficients_once(capsys, monkeypatch):
     for flags, lamb_shift in (([], True), (["--lamb-shift", "off"], False)):
         calls.clear()
         assert main(["threshold", "--preset", "fig5", *flags]) == 0
-        assert len(calls) == 1
-        out = capsys.readouterr().out
+        assert calls == [lamb_shift]
+        assert capsys.readouterr().out.startswith("cp_threshold = ")
 
-        # the same lines through cp_threshold and a separate coefficient set
-        params = ModelParams(**preset("fig5")["params"])
-        thr = cp_threshold(params, lamb_shift=lamb_shift)
-        coeffs = build(params, lamb_shift=lamb_shift)
-        lines = [f"cp_threshold = {thr.bound:.17g}"]
-        for i, gam in enumerate((coeffs.gamma1, coeffs.gamma2), start=1):
-            block = np.sqrt(gam[0, 0].real * gam[1, 1].real) / abs(gam[0, 1])
-            lines.append(f"block_{i}_bound = {float(block):.17g}")
-        lines.append("dissipation_matrix_eigenvalues_at_bound = "
-                     + " ".join(f"{float(e):.17g}" for e in np.linalg.eigvalsh(thr.matrix)))
-        assert out == "\n".join(lines) + "\n"
+
+@pytest.mark.parametrize("flags, over, lamb_shift", [
+    ([], {}, True),
+    (["--lamb-shift", "off"], {}, False),
+    (["--set", "beta=inf"], {"beta": np.inf, "n_omega0": None}, True)])
+def test_threshold_prints_the_dissipation_matrix_spectrum(capsys, flags, over, lamb_shift):
+    # the reference builds the 4x4 block matrix [[s∘γ1, 0], [0, s∘γ2]] at the bound,
+    # whose spectrum is that of the CP-Redfield scheme's u and w
+    assert main(["threshold", "--preset", "fig5", *flags]) == 0
+    out = capsys.readouterr().out
+    params = ModelParams(**{**preset("fig5")["params"], **over})
+    coeffs = spectral.dissipator_coefficients(params, lamb_shift=lamb_shift)
+    gammas = (coeffs.gamma1, coeffs.gamma2)
+    bounds = [np.sqrt(gam[0, 0].real * gam[1, 1].real) / abs(gam[0, 1])
+              if abs(gam[0, 1]) > 0.0 else np.inf for gam in gammas]
+    s = min(1.0, *bounds)
+    lines = [f"cp_threshold = {s:.17g}"]
+    lines += [f"block_{i}_bound = {b:.17g}" if np.isfinite(b) else f"block_{i}_bound = unconstrained"
+              for i, b in enumerate(bounds, start=1)]
+    matrix = np.zeros((4, 4), dtype=complex)
+    for i, gam in enumerate(gammas):
+        matrix[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[gam[0, 0], s * gam[0, 1]],
+                                                    [s * gam[1, 0], gam[1, 1]]]
+    lines.append("dissipation_matrix_eigenvalues_at_bound = "
+                 + " ".join(f"{float(e):.17g}" for e in np.linalg.eigvalsh(matrix)))
+    assert out == "\n".join(lines) + "\n"
+    if over:  # no thermal occupation: γ1 = 0 constrains nothing
+        assert "block_1_bound = unconstrained" in out
 
 
 def test_lamb_shift_off_reaches_run_and_fidelity(tmp_path):
@@ -250,8 +267,8 @@ def test_lamb_shift_off_reaches_run_and_fidelity(tmp_path):
     summary = json.loads((tmp_path / "run_off" / "summary.json").read_text())
     params = ModelParams(**preset("fig6")["params"])
     assert summary["lamb_shift"] is False
-    assert summary["cp_threshold"] == cp_threshold(params, lamb_shift=False).bound
-    assert summary["cp_threshold"] != cp_threshold(params).bound
+    assert summary["cp_threshold"] == cp_threshold(params, lamb_shift=False)
+    assert summary["cp_threshold"] != cp_threshold(params)
     # the global populations do not see the shifted eigenfrequencies, so global.csv
     # is left out; every other scheme, and the fidelity table, moves
     schemes = [s for s in preset("fig6")["schemes"] if s != "global"]
@@ -374,6 +391,16 @@ def test_failed_run_writes_no_files(tmp_path, capsys):
     argv = ["run", "--preset", "fig5", "--oracle-verify", "on", *_EDGE_GRID, "--out", str(out)]
     assert main(argv) == 1
     assert "oracle-verify needs small occupations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "fidelity"])
+def test_diverging_scheme_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # a filter far past the CP bound overflows at t = 35.8; it used to write NaN rows
+    out = tmp_path / "out"
+    argv = [command, "--preset", "fig7", "--set", "schemes=cg_redfield:1000", "--out", str(out)]
+    assert main(argv) == 2
+    assert "propagation diverged at t = 35.8" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -35,7 +35,7 @@ def routes(request, params):
     """One scheme propagated from the vacuum by the blocked oracle and the dense reference."""
     name = request.param
     if name == "cg_redfield":
-        name = f"cg_redfield:{0.5 * cp_threshold(params).bound!r}"
+        name = f"cg_redfield:{0.5 * cp_threshold(params)!r}"
     scheme = SchemeRunner(params, TIMES).equation(name)
     vacuum = thermal_product_state(0.0, 0.0, D)
     blocked = lindblad_propagate(scheme, vacuum, TIMES)
@@ -95,7 +95,7 @@ def test_generator_matches_dense_rhs(name, params):
     d = 2 and 3 every block holds one or two states, and every state sits next
     to an edge of the cutoff. The cutoffs are a loop, so the test ids stay."""
     if name == "cg_redfield":
-        name = f"cg_redfield:{0.5 * cp_threshold(params).bound!r}"
+        name = f"cg_redfield:{0.5 * cp_threshold(params)!r}"
     scheme = SchemeRunner(params, TIMES).equation(name)
     for d in (2, 3, 6):
         rho, blocks = random_hermitian_stack(d, 6)
@@ -298,7 +298,7 @@ def test_draw_case_names_a_runnable_scheme():
         kind, s = parse_scheme(case.scheme)
         kinds.add(kind)
         if kind == "cg_redfield":
-            bound = cp_threshold(case.params).bound
+            bound = cp_threshold(case.params)
             assert 0.3 * bound <= s <= bound
         else:
             assert s is None and case.scheme in ("local", "global")

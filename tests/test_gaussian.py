@@ -158,7 +158,7 @@ class TestCpBoundKeepsStatesPhysical:
                             n_omega0=float(np.exp(rng.uniform(np.log(1e-3), np.log(30.0)))))
             lamb_shift = bool(rng.integers(2))
             coeffs = dissipator_coefficients(p, lamb_shift=lamb_shift)
-            bound = cp_threshold(p, lamb_shift=lamb_shift).bound
+            bound = cp_threshold(p, lamb_shift=lamb_shift)
             for s in (rng.uniform(-bound, bound), bound, -bound):
                 assert self.worst_lambda_c(coeffs, s) >= -1e-12
 

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from oscpair import (DomainError, MomentState, Scheme, SteadyStateError, Trajectory,
-                     bose_factor, cp_threshold, dissipator_coefficients,
+from oscpair import (DomainError, MomentState, PropagationError, Scheme, SteadyStateError,
+                     Trajectory, bose_factor, cp_threshold, dissipator_coefficients,
                      mixture_moments, propagate, spectral_density, steady_state)
 from oscpair import moments
 from oscpair.moments import cg_redfield_generator, local_generator
@@ -43,8 +43,8 @@ def hand_written_cg_redfield(params, coeffs, s):
     r = e1[1, 0] + e2[0, 1]          # multiplies n₋−n₊ in the cross equation
     t = g1[1, 0] - g2[0, 1]
     drive = g1[1, 0]
-    delta = (coeffs.omega_plus + delta_omega_plus
-             - coeffs.omega_minus - delta_omega_minus)
+    delta = (coeffs.params.omega_plus + delta_omega_plus
+             - coeffs.params.omega_minus - delta_omega_minus)
     decay = 0.25 * (kappa_plus + kappa_minus)
     a = np.zeros((4, 4))
     a[0, 0] = -0.5 * kappa_plus
@@ -69,8 +69,8 @@ def hand_written_cg_redfield(params, coeffs, s):
 
 def hand_written_local(coeffs):
     """Entry-by-entry (A, b) of the local moment equations."""
-    k0, n0, dwa = coeffs.kappa_omega0, coeffs.n_occ_omega0, coeffs.delta_omega_a
-    two_g = coeffs.omega_plus - coeffs.omega_minus
+    k0, n0, dwa = coeffs.params.kappa0, coeffs.params.n_occupation_omega0, coeffs.delta_omega_a
+    two_g = coeffs.params.omega_plus - coeffs.params.omega_minus
     a = np.array([
         [-0.5 * k0, 0.0, -0.5 * k0, dwa],
         [0.0, -0.5 * k0, -0.5 * k0, -dwa],
@@ -127,7 +127,7 @@ class TestGeneratorStructure:
         assert np.abs(a[2:, :2]).max() > 0
 
     def test_relaxation_rates_stable_inside_bound(self, p, coeffs):
-        bound = cp_threshold(p).bound
+        bound = cp_threshold(p)
         for s in (0.0, 0.3, 0.7 * bound, bound):
             a, _ = cg_redfield_generator(coeffs, s)
             assert np.linalg.eigvals(a).real.max() <= 1e-14
@@ -182,7 +182,7 @@ class TestPropagate:
         assert np.abs(traj.cross).max() < 1e-12
 
     def test_against_runge_kutta_oracle(self, p, coeffs):
-        scheme = Scheme.coarse_grained(coeffs, cp_threshold(p).bound)
+        scheme = Scheme.coarse_grained(coeffs, cp_threshold(p))
         a, b = scheme.generator()
         times = np.linspace(0.0, 300.0, 241)
         traj = propagate(scheme, times)
@@ -206,6 +206,26 @@ class TestPropagate:
         ref = augmented_flow(scheme, times)
         assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
         assert np.all(got[0] == 0.0)
+
+
+class TestDivergence:
+    """A filter far past the CP bound grows without bound; both branches raise at
+    the first non-finite time instead of returning NaN moments."""
+
+    def test_eigen_branch_raises_at_the_first_non_finite_time(self, eigen_branch_only, coeffs):
+        scheme = Scheme.coarse_grained(coeffs, 1000.0)
+        times = np.linspace(0.0, 150.0, 751)
+        with pytest.raises(PropagationError, match="diverged at t = ") as info:
+            propagate(scheme, times)  # RuntimeWarning is an error under pytest
+        t_bad = float(str(info.value).rsplit("= ", 1)[1])
+        assert 0.0 < t_bad < times[-1]
+        finite = propagate(scheme, times[times < t_bad])
+        assert np.isfinite(stacked(finite)).all()
+
+    def test_fallback_raises_too(self, monkeypatch, coeffs):
+        monkeypatch.setattr(moments, "_COND_LIMIT", 0.0)  # every A counts as defective
+        with pytest.raises(PropagationError, match="diverged at t = "):
+            propagate(Scheme.coarse_grained(coeffs, 1000.0), np.linspace(0.0, 150.0, 751))
 
 
 class TestPropagateRouting:
@@ -259,8 +279,8 @@ class TestSteadyStates:
 
     def test_local_thermalizes_both_modes_at_omega0(self, coeffs):
         ss = steady_state(Scheme.local(coeffs))
-        assert ss.n_plus == pytest.approx(coeffs.n_occ_omega0, rel=1e-12)
-        assert ss.n_minus == pytest.approx(coeffs.n_occ_omega0, rel=1e-12)
+        assert ss.n_plus == pytest.approx(coeffs.params.n_occupation_omega0, rel=1e-12)
+        assert ss.n_minus == pytest.approx(coeffs.params.n_occupation_omega0, rel=1e-12)
         assert abs(ss.cross) < 1e-14
 
     def test_singular_raises(self):
@@ -268,7 +288,7 @@ class TestSteadyStates:
             steady_state(SINGULAR)
 
     def test_cp_redfield_keeps_finite_gap(self, p, coeffs):
-        bound = cp_threshold(p).bound
+        bound = cp_threshold(p)
         ss = steady_state(Scheme.coarse_grained(coeffs, bound))
         gap = 2.0 * ss.cross.real
         assert gap == pytest.approx(asymptotic_gap_first_order(bound, p), rel=0.10)
@@ -299,7 +319,7 @@ class TestLocalClosedForm:
         times = np.linspace(0.0, 100.0, 401)
         traj = propagate(Scheme.local(coeffs), times)
         split = np.abs(traj.n_plus - traj.n_minus).max()
-        scale = abs(coeffs.delta_omega_a) / p.g * coeffs.n_occ_omega0
+        scale = abs(coeffs.delta_omega_a) / p.g * coeffs.params.n_occupation_omega0
         assert 0.0 < split < 5.0 * scale
 
     def test_overdamped_regime_rejected(self):

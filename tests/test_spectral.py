@@ -11,10 +11,9 @@ import pytest
 from scipy.integrate import quad
 
 import oscpair
-from oscpair import (DomainError, EstimationError, ModelParams, ValidationError,
+from oscpair import (DomainError, EstimationError, ModelParams, SchemeRunner, ValidationError,
                      bath_modes, bose_factor, correlation_function, cp_threshold,
-                     dissipation_matrix, dissipator_coefficients, memory_time,
-                     pv_integral, secular_filter, spectral_density)
+                     dissipator_coefficients, memory_time, pv_integral, spectral_density)
 from oscpair.spectral import _bath_table
 
 SRC = Path(oscpair.__file__).resolve().parent.parent
@@ -459,20 +458,33 @@ class TestPvIntegral:
             pv_integral("N", 1.0, params(alpha=0.0))
 
 
+def delta_t_filter(name="cg_redfield", **over):
+    """The filter s a scheme name runs at under ``params(**over)``."""
+    return SchemeRunner(params(**over), [0.0]).equation(name).filter_s
+
+
 class TestSecularFilter:
+    """The coarse-grain filter s = sinc(gΔt) of a bare cg_redfield, which
+    SchemeRunner.equation resolves from delta_t."""
+
     def test_redfield_point(self):
-        assert secular_filter(0.0, 0.3)[0, 1] == 1.0
+        assert delta_t_filter(delta_t=0.0) == 1.0
 
     def test_zero_crossing(self):
-        assert secular_filter(math.pi / 0.3, 0.3)[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert delta_t_filter(delta_t=math.pi / 0.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_full_secular_limit(self):
-        s = secular_filter(math.inf, 0.3)
-        assert np.array_equal(s, np.eye(2))
+        assert delta_t_filter(delta_t=math.inf) == 0.0
 
-    def test_saturating_sentinel_rejected_here(self):
-        with pytest.raises(DomainError):
-            secular_filter("saturating", 0.3)
+    def test_saturating_takes_the_cp_bound(self):
+        p = params(delta_t="saturating")
+        runner = SchemeRunner(p, [0.0])
+        assert runner.equation("cg_redfield").filter_s == runner.coeffs.cp_bound
+        assert runner.coeffs.cp_bound == cp_threshold(p) < 1.0
+
+    @pytest.mark.parametrize("delta_t", [0.0, 3.7, math.inf, "saturating"])
+    def test_explicit_filter_ignores_delta_t(self, delta_t):
+        assert delta_t_filter("cg_redfield:0.25", delta_t=delta_t) == 0.25
 
 
 def eigenmode_shifts(c):
@@ -539,28 +551,26 @@ class TestCoefficients:
 
 class TestCpThreshold:
     def test_headline_value(self):
-        assert cp_threshold(params()).bound == pytest.approx(0.989, abs=1e-3)
+        assert cp_threshold(params()) == pytest.approx(0.989, abs=1e-3)
 
     def test_weak_coupling_limit(self):
-        assert cp_threshold(params(g=1e-8)).bound == pytest.approx(1.0, abs=1e-9)
+        assert cp_threshold(params(g=1e-8)) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_point_is_unconstrained(self):
-        assert cp_threshold(params(g=0.0)).bound == 1.0
+        assert cp_threshold(params(g=0.0)) == 1.0
 
     def test_matrix_saturates_at_bound(self):
-        p = params()
-        bound, matrix = cp_threshold(p)
-        eigs = np.linalg.eigvalsh(matrix)
-        assert abs(eigs).min() <= 1e-10
-        assert eigs.min() >= -1e-12
-        c = dissipator_coefficients(p)
-        overshoot = np.linalg.eigvalsh(dissipation_matrix(c, bound * 1.001))
-        assert overshoot.min() < 0
+        # complete positivity is u, w >= 0; at the bound one eigenvalue touches 0
+        runner = SchemeRunner(params(), [0.0])
+        bound = cp_threshold(params())
 
-    def test_matrix_hermitian_block_diagonal(self):
-        _, matrix = cp_threshold(params())
-        assert np.abs(matrix - matrix.conj().T).max() < 1e-15
-        assert np.all(matrix[:2, 2:] == 0) and np.all(matrix[2:, :2] == 0)
+        def eigs(s):
+            scheme = runner.equation(f"cg_redfield:{s!r}")
+            return np.concatenate([np.linalg.eigvalsh(scheme.u), np.linalg.eigvalsh(scheme.w)])
+
+        assert abs(eigs(bound)).min() <= 1e-10
+        assert eigs(bound).min() >= -1e-12
+        assert eigs(bound * 1.001).min() < 0
 
 
 def test_memory_time_warns_above_a_quarter_of_the_recurrence_time():
