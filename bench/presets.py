@@ -7,14 +7,17 @@ this repository, typically a change and its parent; the same directory twice
 checks that every artifact is byte-deterministic across fresh processes. One
 fresh interpreter per tree, importing ``oscpair`` from that tree only, writes
 
-- ``oscpair run`` on every distinct preset (each alias once);
+- ``oscpair run`` on every preset;
 - ``oscpair fidelity`` on fig6, fig9a and fig9b;
 - ``oscpair fidelity --preset fig6 --grid 0:300:151:lin`` on global, local,
   mixture, ``cg_redfield:1.0`` and redfield, whose two filters past the CP
   bound get the flagged ``re_f2_*`` / ``*_nonphysical`` columns;
+- ``oscpair fidelity --preset fig6 --lamb-shift off``, where every η is 0;
 - ``oscpair run --preset fig9b --grid 0:300:151:lin`` on a bare
-  ``cg_redfield`` and ``cp_redfield`` at ``delta_t=saturating`` and at
-  ``delta_t=3.7``, where the filter comes from ``delta_t``.
+  ``cg_redfield`` and ``cp_redfield`` at ``delta_t=3.7``, where the filter
+  comes from ``delta_t``;
+- ``oscpair run --preset fig9b --set beta=inf``, a bath at zero
+  temperature, where the N-weighted Lamb-shift integrals are 0.
 
 Each file is then printed as ``byte-identical``, or with its largest
 deviation relative to column scale: max |a − b| / max(|a|, |b|) over a CSV
@@ -40,9 +43,10 @@ FIDELITY_PRESETS = ("fig6", "fig9a", "fig9b")
 EXTRA = {
     "fidelity_fig6_flagged": ["fidelity", "--preset", "fig6", "--grid", "0:300:151:lin", "--set",
                               "schemes=global,local,mixture,cg_redfield:1.0,redfield"],
-    **{f"run_fig9b_delta_t_{dt}": ["run", "--preset", "fig9b", "--grid", "0:300:151:lin", "--set",
-                                   "schemes=cg_redfield,cp_redfield", "--set", f"delta_t={dt}"]
-       for dt in ("saturating", "3.7")},
+    "fidelity_fig6_lamb_shift_off": ["fidelity", "--preset", "fig6", "--lamb-shift", "off"],
+    "run_fig9b_delta_t_3.7": ["run", "--preset", "fig9b", "--grid", "0:300:151:lin", "--set",
+                              "schemes=cg_redfield,cp_redfield", "--set", "delta_t=3.7"],
+    "run_fig9b_beta_inf": ["run", "--preset", "fig9b", "--set", "beta=inf"],
 }
 
 #: run in the fresh interpreter; argv: source tree, output root, JSON [fidelity presets, extra]
@@ -55,8 +59,7 @@ from oscpair.presets import PRESETS
 src, out, (fidelity, extra) = sys.argv[1], Path(sys.argv[2]), json.loads(sys.argv[3])
 if Path(oscpair.cli.__file__).resolve().parents[1] != Path(src).resolve():
     sys.exit(f"oscpair imported from {oscpair.cli.__file__}, not from {src}")
-distinct = {id(entry): name for name, entry in reversed(PRESETS.items())}.values()
-cases = {f"run_{name}": ["run", "--preset", name] for name in distinct}
+cases = {f"run_{name}": ["run", "--preset", name] for name in PRESETS}
 cases.update({f"fidelity_{name}": ["fidelity", "--preset", name] for name in fidelity})
 cases.update(extra)
 codes = {}

@@ -197,7 +197,7 @@ def _run_case(op: str, size: int | None):
         return elapsed, rhs(0.0, coords).tolist(), {"traced_peak_mb": peak}
     if op == "verify_draws3_seed3":
         start = time.perf_counter()
-        reports = verify.run_suite(3, 3)
+        reports = list(verify.run_suite(3, 3))
         elapsed = time.perf_counter() - start
         return elapsed, [x for r in reports for x in (r.max_moment_error, r.max_fidelity_error)]
     if op == "run_fig9b_oracle":

@@ -22,7 +22,7 @@ from .gaussian import (from_ab_basis, gaussian_fidelity, gaussian_fidelity_sq,
                        lambda_c_trajectory, mixture_fidelity_lower_bound, to_ab_basis)
 from .moments import (MomentState, Scheme, Trajectory, mixture_moments, propagate,
                       steady_state)
-from .params import SATURATING, ModelParams, bose_factor
+from .params import ModelParams, bose_factor
 from .runner import SchemeRunner, time_grid
 from .spectral import (CoefficientSet, bath_modes, correlation_function, cp_threshold,
                        dissipator_coefficients, memory_time, pv_integral, spectral_density)

@@ -21,20 +21,16 @@ from .errors import (DomainError, EstimationError, OscPairError, SteadyStateErro
                      ValidationError)
 from .gaussian import lambda_c_trajectory, to_ab_basis
 from .moments import MomentState, Trajectory, steady_state
-from .params import SATURATING, ModelParams
+from .params import ModelParams
 from .presets import PRESETS, preset
 from .runner import SchemeRunner, parse_scheme, scheme_label, time_grid
 from .spectral import cp_block_bounds, memory_time
 
 
-def _delta_t(value: str) -> float | str:
-    return value if value == SATURATING else float(value)
-
-
 #: model parameter -> parser of its --set / sweep value
 _PARAM_KEYS = {
     "omega0": float, "g": float, "kappa0": float, "omega_c": float, "alpha": float,
-    "beta": float, "n_omega0": float, "M": int, "mixture_rate": float, "delta_t": _delta_t,
+    "beta": float, "n_omega0": float, "M": int, "mixture_rate": float, "delta_t": float,
 }
 
 
@@ -277,7 +273,14 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     from .verify import run_suite  # the Fock oracle loads SciPy; only verify needs it
-    reports = run_suite(args.draws, args.seed, verbose=True)
+    reports = []
+    for i, report in enumerate(run_suite(args.draws, args.seed)):
+        c = report.case
+        print(f"draw {i:2d}: scheme={c.scheme:<12s} N0={c.params.n_occupation_omega0:7.3f} "
+              f"g={c.params.g:5.3f} alpha={c.params.alpha:.1f} d={c.cutoff:2d} "
+              f"t_max={c.t_max:5.1f} dmom={report.max_moment_error:.2e} "
+              f"dfid={report.max_fidelity_error:.2e} {'ok' if report.passed else 'FAIL'}")
+        reports.append(report)
     worst_m = max(r.max_moment_error for r in reports)
     worst_f = max(r.max_fidelity_error for r in reports)
     ok = all(r.passed for r in reports)

@@ -10,9 +10,6 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-#: sentinel for the coarse-grain interval that saturates the positivity bound
-SATURATING = "saturating"
-
 
 def bose_factor(omega, beta):
     """Bose-Einstein occupation N(ω) = 1/(e^{βω} − 1), the package's one copy.
@@ -43,8 +40,8 @@ class ModelParams:
     or as ``n_omega0``, the Bose occupation N(ω0); ``beta`` is what is stored.
 
     ``delta_t`` is the coarse-grain interval of the smoothed Redfield family
-    (0 → plain Redfield, ∞ → full secular / global, the string
-    ``"saturating"`` → interval fixed at the complete-positivity threshold).
+    (0 → plain Redfield, ∞ → full secular / global); the interval at the
+    complete-positivity threshold is the ``cp_redfield`` scheme.
     ``mixture_rate`` is the rate 𝒢 of the local/global convex mixture and
     defaults to 0.4·κ(ω0).
     """
@@ -56,7 +53,7 @@ class ModelParams:
     alpha: float = 1.0
     beta: float | None = None
     M: int = 400
-    delta_t: float | str = 0.0
+    delta_t: float = 0.0
     mixture_rate: float | None = None
     n_omega0: InitVar[float | None] = None
 
@@ -91,10 +88,7 @@ class ModelParams:
             raise ValidationError(f"beta must be > 0, got {self.beta}")
         if not (isinstance(self.M, int) and self.M >= 1):
             raise ValidationError(f"M must be a positive integer, got {self.M!r}")
-        if isinstance(self.delta_t, str):
-            if self.delta_t != SATURATING:
-                raise ValidationError(f"delta_t must be a number >= 0 or {SATURATING!r}")
-        elif not self.delta_t >= 0.0:
+        if not self.delta_t >= 0.0:
             raise ValidationError(f"delta_t must be >= 0, got {self.delta_t}")
         if self.mixture_rate is None:
             object.__setattr__(self, "mixture_rate", 0.4 * self.kappa0)

@@ -38,13 +38,6 @@ PRESETS: dict[str, dict] = {
                   grid=(0.0, 300.0, 751, "lin")),
 }
 
-# the fidelity comparisons at alternate parameters appear twice in common usage
-PRESETS["fig10a"] = PRESETS["fig9a"]
-PRESETS["fig10b"] = PRESETS["fig9b"]
-PRESETS["fig8"] = PRESETS["fig8a"]
-PRESETS["fig9"] = PRESETS["fig9a"]
-PRESETS["fig10"] = PRESETS["fig10a"]
-
 
 def preset(name: str) -> dict:
     try:

@@ -18,7 +18,7 @@ from . import exact as exact_mod
 from .errors import OscPairError, ValidationError
 from .gaussian import gaussian_fidelity_sq, mixture_fidelity_lower_bound
 from .moments import Scheme, Trajectory, checked_grid, mixture_moments, propagate
-from .params import SATURATING, ModelParams
+from .params import ModelParams
 from .spectral import dissipator_coefficients
 
 SCHEMES = ("exact", "redfield", "cp_redfield", "cg_redfield", "global", "local", "mixture")
@@ -82,16 +82,15 @@ class SchemeRunner:
 
         Filter values: Redfield 1, global 0, CP-Redfield ``coeffs.cp_bound``,
         ``cg_redfield:<s>`` its s, and a bare ``cg_redfield`` that of ``delta_t``:
-        sinc(gΔt), 0 at Δt = ∞ and ``coeffs.cp_bound`` at ``"saturating"``. The
-        mixture relaxes under the global scheme; the exact model has no master equation.
+        sinc(gΔt), and 0 at Δt = ∞. The mixture relaxes under the global scheme;
+        the exact model has no master equation.
         """
         kind, s = parse_scheme(name)
         if kind == "local":
             return Scheme.local(self.coeffs)
         if kind == "cg_redfield" and s is None:
-            dt = self.params.delta_t
-            s = (self.coeffs.cp_bound if dt == SATURATING else 0.0 if math.isinf(dt)
-                 else float(np.sinc(self.params.g * dt / np.pi)))  # np.sinc(x) = sin(πx)/(πx)
+            dt = self.params.delta_t  # np.sinc(x) = sin(πx)/(πx)
+            s = 0.0 if math.isinf(dt) else float(np.sinc(self.params.g * dt / np.pi))
         filters = {"redfield": 1.0, "cp_redfield": self.coeffs.cp_bound, "global": 0.0,
                    "mixture": 0.0, "cg_redfield": s}
         if kind not in filters:

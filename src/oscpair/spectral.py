@@ -7,7 +7,8 @@ coarse-grain interval Δt: the filter a scheme runs at is chosen by
 :meth:`oscpair.runner.SchemeRunner.equation`. The complete-positivity bound
 on that filter has one owner, ``CoefficientSet.cp_bound``. The Bose factor
 N(ω) is :func:`oscpair.params.bose_factor`, which this module imports and
-re-exports.
+re-exports. The Lamb shifts take principal values of two kinds, weighted by
+N(ω) and by 1 ("bare"); the 1 + N weight of the loss block is their sum.
 
 The bath correlation functions, and the memory time found from them, are
 summed in real arithmetic by ``np.einsum`` over one cached table of bath
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import DomainError, EstimationError
 from .params import ModelParams, bose_factor
 
-PV_KINDS = ("N", "1+N", "bare")
+PV_KINDS = ("N", "bare")
 
 
 def spectral_density(omega, params: ModelParams):
@@ -195,10 +196,10 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
 def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
     """Cauchy principal value  P∫₀^{ωc} f(ε)/(ε − ω_t) dε.
 
-    f(ε) = κ(ε)w(ε)/2π with w = N(ε), 1+N(ε) or 1 for ``kind`` in
-    {"N", "1+N", "bare"}. Write f(ε) = c·ε^p·φ(ε) with p = α − 1 and the
-    smooth φ = εw(ε), where εN(ε) → 1/β at ε = 0 (p = α and φ = 1 for "bare").
-    The band is split at ε_h = min(ω_t/2, ω0), and for the thermal weights
+    f(ε) = κ(ε)w(ε)/2π with w = N(ε) or 1 for ``kind`` "N" or "bare"; the
+    1+N weight of the loss rates is their sum. Write f(ε) = c·ε^p·φ(ε) with
+    p = α − 1 and the smooth φ = εN(ε), where εN(ε) → 1/β at ε = 0 (p = α and
+    φ = 1 for "bare"). The band is split at ε_h = min(ω_t/2, ω0), and for "N"
     also at 40/β, below which a cold bath's occupation sits.
 
     - Head [0, ε_h]: a Gauss–Jacobi rule with weight ε^p, whose nodes come
@@ -210,8 +211,8 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
       point of ε^p on every piece), and f(ω_t)·ln((ωc − ω_t)/(ω_t − ε_h)) is
       added back.
 
-    α = 0 with a thermal weight is rejected (the integral does not converge
-    at finite temperature).
+    At β = ∞, "N" is exactly 0.0 without a quadrature; at finite temperature
+    it diverges for α = 0, which is rejected.
     """
     if kind not in PV_KINDS:
         raise DomainError(f"pv kind must be one of {PV_KINDS}, got {kind!r}")
@@ -221,25 +222,23 @@ def pv_integral(kind: str, omega_target: float, params: ModelParams) -> float:
     if not (margin < w_t < wc - margin):
         raise DomainError(
             f"pv_integral pole {w_t} must lie strictly inside (0, omega_c={wc})")
-    if kind != "bare" and alpha == 0.0:
-        raise DomainError(
-            "thermally weighted Lamb-shift integrals diverge for alpha = 0 "
-            "at finite temperature")
+    if kind == "N":
+        if beta == math.inf:
+            return 0.0
+        if alpha == 0.0:
+            raise DomainError("the N-weighted Lamb-shift integral diverges for alpha = 0 "
+                              "at finite temperature")
 
     pref = params.kappa0 / (2.0 * np.pi * params.omega0**alpha)
     split = min(w_t / 2.0, params.omega0)
     if kind == "bare":
         power = alpha
-    else:  # above 40/β the occupation is below e^{-40}; β = ∞ leaves no band to cut
+    else:  # above 40/β the occupation is below e^{-40}
         power = alpha - 1.0
-        if beta < math.inf:
-            split = min(split, 40.0 / beta)
+        split = min(split, 40.0 / beta)
 
     def smooth(e):  # f(ε)/(pref·ε^power) at nodes e > 0
-        if kind == "bare":
-            return np.ones_like(e)
-        en = e * bose_factor(e, beta)
-        return en + e if kind == "1+N" else en
+        return np.ones_like(e) if kind == "bare" else e * bose_factor(e, beta)
 
     def f(e):
         return e**power * smooth(e)
@@ -301,33 +300,31 @@ def dissipator_coefficients(params: ModelParams, *, lamb_shift: bool = True) -> 
     """Build the full γ/η tensors and the local Lamb shift for ``params``.
 
     Diagonals: γ^(1)_{σσ} = ½κ(ω_σ)N(ω_σ), γ^(2)_{σσ} = ½κ(ω_σ)[1+N(ω_σ)],
-    η^(1)_{σσ} = +½ P∫ κN/2π/(ε−ω_σ), η^(2)_{σσ} = −½ P∫ κ(1+N)/2π/(ε−ω_σ).
-    Off-diagonals via the reconstruction identities; the eigenmode shifts
-    are δω_σ = Re(η^(1)+η^(2))_{σσ}. δω_A is the bare principal value at ω0
-    with the local sign convention δω_A = (1/2π)P∫ κ(ω)/(ω0−ω) dω.
+    η^(1)_{σσ} = ½P_N(ω_σ), η^(2)_{σσ} = −½[P_N + P_bare](ω_σ), with P_N and
+    P_bare the :func:`pv_integral` kinds. Each whole block follows from its
+    diagonals by the :class:`CoefficientSet` identities, which hold on the
+    diagonal too. The eigenmode shifts are δω_σ = Re(η^(1)+η^(2))_{σσ}. δω_A
+    is the bare principal value at ω0 with the local sign convention
+    δω_A = (1/2π)P∫ κ(ω)/(ω0−ω) dω.
 
     With ``lamb_shift=False`` every η and δω_A is set to zero, which also
     makes the off-diagonal γ real.
     """
     w_sigma = (params.omega_plus, params.omega_minus)
-    kap = tuple(float(spectral_density(w, params)) for w in w_sigma)
-    occ = tuple(float(bose_factor(w, params.beta)) for w in w_sigma)
+    kap = np.array([spectral_density(w, params) for w in w_sigma])
+    occ = np.array([bose_factor(w, params.beta) for w in w_sigma])
+    if lamb_shift:
+        thermal = np.array([pv_integral("N", w, params) for w in w_sigma])
+        bare = np.array([pv_integral("bare", w, params) for w in w_sigma])
+    else:
+        thermal = bare = np.zeros(2)
 
-    gamma1 = np.zeros((2, 2), dtype=complex)
-    gamma2 = np.zeros((2, 2), dtype=complex)
-    eta1 = np.zeros((2, 2), dtype=complex)
-    eta2 = np.zeros((2, 2), dtype=complex)
-    for s in (_P, _M):
-        gamma1[s, s] = 0.5 * kap[s] * occ[s]
-        gamma2[s, s] = 0.5 * kap[s] * (1.0 + occ[s])
-        if lamb_shift:
-            eta1[s, s] = 0.5 * pv_integral("N", w_sigma[s], params)
-            eta2[s, s] = -0.5 * pv_integral("1+N", w_sigma[s], params)
-    for g_, e_ in ((gamma1, eta1), (gamma2, eta2)):
-        for s, t in ((_P, _M), (_M, _P)):
-            g_[s, t] = 0.5 * (g_[s, s] + g_[t, t]) + 1j * (e_[s, s] - e_[t, t])
-            e_[s, t] = -0.25j * (g_[s, s] - g_[t, t]) + 0.5 * (e_[s, s] + e_[t, t])
+    def tensors(g, e):  # γ = ½(g⊕g) + i(e⊖e), η = −¼i(g⊖g) + ½(e⊕e)
+        return (0.5 * np.add.outer(g, g) + 1j * np.subtract.outer(e, e),
+                -0.25j * np.subtract.outer(g, g) + 0.5 * np.add.outer(e, e))
 
+    gamma1, eta1 = tensors(0.5 * kap * occ, 0.5 * thermal)
+    gamma2, eta2 = tensors(0.5 * kap * (1.0 + occ), -0.5 * (thermal + bare))
     delta_omega_a = -pv_integral("bare", params.omega0, params) if lamb_shift else 0.0
 
     return CoefficientSet(

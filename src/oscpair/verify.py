@@ -15,6 +15,7 @@ generator (see :mod:`oscpair.fock`).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,19 +151,10 @@ def spot_check(runner: SchemeRunner, schemes) -> dict:
     return {"schemes": case_schemes, "cutoff": d, "max_moment_deviation": worst}
 
 
-def run_suite(draws: int, seed: int, *, verbose: bool = False) -> list[EquivalenceReport]:
-    """Draw and run ``draws`` cases from ``seed``; a case whose truncated Fock
-    space cannot certify it raises ``CutoffError``."""
+def run_suite(draws: int, seed: int) -> Iterator[EquivalenceReport]:
+    """Draw and run ``draws`` cases from ``seed``, yielding each report as its
+    case finishes; a case whose truncated Fock space cannot certify it raises
+    ``CutoffError``."""
     rng = np.random.default_rng(seed)
-    reports = []
-    for i in range(draws):
-        report = run_case(draw_case(rng))
-        reports.append(report)
-        if verbose:
-            c = report.case
-            print(f"draw {i:2d}: scheme={c.scheme:<12s} N0={c.params.n_occupation_omega0:7.3f} "
-                  f"g={c.params.g:5.3f} alpha={c.params.alpha:.1f} d={c.cutoff:2d} "
-                  f"t_max={c.t_max:5.1f} dmom={report.max_moment_error:.2e} "
-                  f"dfid={report.max_fidelity_error:.2e} "
-                  f"{'ok' if report.passed else 'FAIL'}")
-    return reports
+    for _ in range(draws):
+        yield run_case(draw_case(rng))

@@ -33,9 +33,7 @@ def test_run_starts_at_zero_and_reruns_byte_identical(tmp_path):
 
 
 def test_every_preset_starts_every_scheme_at_the_vacuum(tmp_path):
-    # each preset once: the aliases name the same entries
-    names = {id(entry): name for name, entry in reversed(PRESETS.items())}.values()
-    for name in names:
+    for name in PRESETS:
         assert main(["run", "--preset", name, "--out", str(tmp_path / name)]) == 0
         for scheme in PRESETS[name]["schemes"]:
             _, rows = read_csv(tmp_path / name / f"{scheme}.csv")
@@ -139,6 +137,18 @@ def test_zero_temperature_run(tmp_path):
     assert json.loads((tmp_path / "summary.json").read_text())["tau_memory"] is None
 
 
+def test_flat_spectrum_at_zero_temperature(tmp_path, capsys):
+    # with N = 0 only the bare Lamb-shift integral is left, which converges at alpha = 0
+    cold_flat = ["--set", "beta=inf", "--set", "alpha=0"]
+    assert main(["threshold", *cold_flat]) == 0
+    out = capsys.readouterr().out.splitlines()
+    bound = cp_threshold(ModelParams(beta=np.inf, alpha=0.0))
+    assert out[:2] == [f"cp_threshold = {bound:.17g}", "block_1_bound = unconstrained"]
+    assert main(["run", *cold_flat, *_EDGE_GRID, "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "exact.csv", "global.csv", "local.csv", "summary.json"]
+
+
 def test_sweep_writes_index(tmp_path):
     argv = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin", "--axis", "M",
             "--values", "40,50", "--out", str(tmp_path)]
@@ -157,18 +167,6 @@ def test_sweep_records_failed_value_and_exits_2(tmp_path):
     assert values["0.2"]["status"] == "ok"
     assert values["2.0"]["status"] == "error"
     assert values["2.0"]["error"].startswith("ValidationError")
-
-
-def test_sweep_over_saturating_delta_t(tmp_path):
-    # sweep values are parsed by the same rule as --set, so "saturating" is a value
-    argv = ["sweep", "--preset", "fig5", *_EDGE_GRID, "--axis", "delta_t",
-            "--values", "0,saturating", "--set", "schemes=cg_redfield", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    values = json.loads((tmp_path / "index.json").read_text())["values"]
-    assert [r["status"] for r in values.values()] == ["ok", "ok"]
-    summary = json.loads((tmp_path / "delta_t=saturating" / "summary.json").read_text())
-    params = ModelParams(**preset("fig5")["params"])
-    assert summary["schemes"]["cg_redfield"]["filter_s"] == cp_threshold(params)
 
 
 def test_sweep_records_bad_value_with_the_set_parser_error(tmp_path):
@@ -300,7 +298,7 @@ def test_non_physical_fidelity_error_names_the_reference(tmp_path, capsys):
 @pytest.mark.parametrize("axis,values", [
     ("M", "50,50"),
     ("g", "0.1,0.10"),                  # one configuration, two spellings
-    ("delta_t", "saturating,1e-0,1"),   # compared as parsed by --set's parser
+    ("delta_t", "0.5,5e-1"),            # compared as parsed by --set's parser
 ])
 def test_sweep_rejects_repeated_values(tmp_path, capsys, axis, values):
     out = tmp_path / "out"
@@ -317,9 +315,6 @@ def test_presets_resolve():
         assert params == ModelParams(**preset(name)["params"])
         assert schemes == preset(name)["schemes"]
         assert time_grid(*grid).size == preset(name)["grid"][2]
-    for alias, target in (("fig8", "fig8a"), ("fig9", "fig9a"), ("fig10", "fig9a"),
-                          ("fig10a", "fig9a"), ("fig10b", "fig9b")):
-        assert preset(alias) == preset(target)
     with pytest.raises(ValidationError):
         preset("nope")
 
@@ -425,12 +420,6 @@ def test_grid_not_starting_at_zero_gets_t0_prepended(tmp_path, grid, start, rows
 _FILTER_RUN = ["run", "--preset", "fig5", *_EDGE_GRID, "--set", "schemes=global,cg_redfield"]
 
 
-def test_saturating_delta_t_filters_at_cp_threshold(tmp_path):
-    assert main([*_FILTER_RUN, "--set", "delta_t=saturating", "--out", str(tmp_path)]) == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["schemes"]["cg_redfield"]["filter_s"] == summary["cp_threshold"]
-
-
 def test_infinite_delta_t_is_the_global_scheme(tmp_path):
     assert main([*_FILTER_RUN, "--set", "delta_t=inf", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "cg_redfield.csv").read_bytes() == (tmp_path / "global.csv").read_bytes()
@@ -463,6 +452,7 @@ _SWEEP = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin"]
 
 @pytest.mark.parametrize("argv", [
     ["run", "--preset", "fig7", "--set", "g"],                       # --set without =
+    ["run", "--preset", "fig7", "--set", "delta_t=saturating"],      # the CP bound is cp_redfield
     ["run", "--preset", "fig7", "--grid", "0:20:11"],                # three grid fields
     ["run", "--preset", "fig7", "--grid", "0:20:11:lin:x"],          # five grid fields
     ["run", "--preset", "fig7", "--grid", "0:twenty:11:lin"],        # non-numeric field

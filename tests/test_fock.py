@@ -307,7 +307,7 @@ def test_draw_case_names_a_runnable_scheme():
 
 def test_default_verify_suite_passes():
     """The draws of ``oscpair verify`` at its default seed: every scheme, d = 15-17."""
-    reports = run_suite(8, 20260809)
+    reports = list(run_suite(8, 20260809))
     assert {parse_scheme(r.case.scheme)[0] for r in reports} == {"local", "global",
                                                                    "cg_redfield"}
     assert {r.case.cutoff for r in reports} <= set(range(15, 18))

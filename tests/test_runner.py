@@ -13,7 +13,7 @@ def test_star_import_binds_no_submodule():
     exec("from oscpair import *", namespace)
     assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
     assert set(oscpair.__all__) <= set(namespace)
-    assert len(oscpair.__all__) == 36
+    assert len(oscpair.__all__) == 35
 
 
 def test_equation_of_each_name(fig4_params):
