@@ -452,7 +452,6 @@ _SWEEP = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin"]
 
 @pytest.mark.parametrize("argv", [
     ["run", "--preset", "fig7", "--set", "g"],                       # --set without =
-    ["run", "--preset", "fig7", "--set", "delta_t=saturating"],      # the CP bound is cp_redfield
     ["run", "--preset", "fig7", "--grid", "0:20:11"],                # three grid fields
     ["run", "--preset", "fig7", "--grid", "0:20:11:lin:x"],          # five grid fields
     ["run", "--preset", "fig7", "--grid", "0:twenty:11:lin"],        # non-numeric field
@@ -466,6 +465,7 @@ _SWEEP = ["sweep", "--preset", "fig7", "--grid", "0:20:11:lin"]
     ["fidelity", "--preset", "fig6", *_EDGE_GRID, "--reference", "mixture"],
     [*_SWEEP, "--axis", "schemes", "--values", "exact"],             # not a parameter
     [*_SWEEP, "--axis", "M", "--values", " , "],                     # empty values list
+    ["run", "--preset", "fig7", "--set", "delta_t=saturating"],      # the CP bound is cp_redfield
 ])
 def test_invalid_arguments_exit_1_and_write_nothing(tmp_path, capsys, argv):
     out = tmp_path / "out"
